@@ -4,8 +4,8 @@ Subcommands: scheme, commutators, convergence, benchmark, bch-verify.
 Flags can also be supplied through --config (a JSON object with the same
 long option names, underscores for dashes); explicit flags win over config
 values, config values win over defaults, and unknown config keys are
-usage errors. MPF_LAB_THREADS overrides --threads. Exit codes: 0 success,
-2 usage, 3 resource or budget, 4 numeric premise violation.
+usage errors. Exit codes: 0 success, 2 usage, 3 resource or budget,
+4 numeric premise violation.
 
 All outputs are deterministic byte-for-byte for a fixed configuration:
 reductions are ordered sums and serialization sorts its keys, so repeated
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -45,7 +44,6 @@ class RunConfig:
     params: dict
     seed: int
     output_path: str | None
-    threads: int | None
 
 
 # Long option names (underscored) each subcommand accepts, with defaults.
@@ -53,7 +51,6 @@ class RunConfig:
 _COMMON = {
     "seed": 0,
     "output": None,
-    "threads": None,
     "config": None,
 }
 _MODEL = {
@@ -110,13 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker count; evaluation is a deterministic ordered"
-            " reduction, so results never depend on it",
-        )
         p.add_argument("--config", default=None, help="JSON file with these options")
 
     def add_model(p):
@@ -208,21 +198,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             params[key] = file_values[key]
         else:
             params[key] = default
-    threads = params.pop("threads")
-    env_threads = os.environ.get("MPF_LAB_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise UsageError(
-                f"MPF_LAB_THREADS must be an integer, got {env_threads!r}"
-            ) from None
-    if threads is not None and threads < 1:
-        raise UsageError("threads must be >= 1")
     seed = int(params.pop("seed"))
     output = params.pop("output")
     params.pop("config")
-    return RunConfig(command, params, seed, output, threads)
+    return RunConfig(command, params, seed, output)
 
 
 def _build_model(config: RunConfig) -> HamiltonianSum:

@@ -9,9 +9,11 @@ j >= 2m for the second-order base, even parts >= 2p for a 2p-th-order base.
 The supremum over j is truncated at a cap and the report says whether the
 last slices were still raising it.
 
-Exact alpha values come from a dynamic program over weighted Pauli strings
-(commutators of Pauli strings are again single strings, so norms add with
-no cancellation); a dense tuple enumeration is kept as the oracle path.
+Exact alpha values come from one dynamic program over weighted Pauli
+strings (commutators of Pauli strings are again single strings, so norms
+add with no cancellation), run once per table; a dense tuple enumeration
+is kept as the oracle path. Depths past the work budget are capped at a
+product-of-norms upper bound.
 Composition sums reuse suffix subtotals through the DP recurrence instead
 of enumerating compositions.
 """
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import pauli
-from .hamiltonians import HamiltonianSum, induced_one_norm, one_norm
+from .hamiltonians import HamiltonianSum, one_norm
 from .operators import spectral_norm
 
 __all__ = [
@@ -52,7 +54,8 @@ PARTITION_J_CAP = 24
 
 
 class BudgetExceededError(ValueError):
-    """Exact enumeration would exceed the tuple budget."""
+    """An alpha depth lies past the work budget (strict mode, or a capped
+    table the caller refuses)."""
 
 
 class MissingAlphaError(KeyError):
@@ -80,9 +83,9 @@ class AlphaEstimate:
 class CommutatorTable:
     """alpha values for depths 1..j_cap.
 
-    mode is "exact" when every entry came from full enumeration, "capped"
-    when any entry fell back to the analytic envelope, "analytic" for
-    synthetic tables.
+    mode is "exact" when every entry was computed exactly, "capped" when
+    any entry lies past the work budget and holds the upper bound
+    alpha[j0] * (2 ||H||_1)^(j - j0), "analytic" for synthetic tables.
     """
 
     gamma: int
@@ -170,45 +173,22 @@ def _slice_js(base: int, m: int, j_cap: int) -> range:
 # --- alpha ---------------------------------------------------------------
 
 
-def _exact_cost(h: HamiltonianSum, j: int, use_pauli: bool) -> int:
-    """Enumeration work in tuple-equivalent units.
+def _alpha_pauli(h: HamiltonianSum, depth: int, budget: int) -> list[float]:
+    """Exact alpha[1..k] from one DP run, k <= depth as far as budget reaches.
 
-    The string DP touches at most 4^n distinct strings per level, so its
-    cost is the smaller of the naive tuple count and j * Gamma * 4^n.
+    Cached per budget: a run the budget stopped short answers every deeper
+    request at that budget too.
     """
-    naive = h.gamma**j
-    if not use_pauli:
-        return naive
-    return min(naive, j * h.gamma * 4**h.n_qubits)
-
-
-def _induced_estimate(h: HamiltonianSum) -> float:
-    if h.grouping is not None:
-        return induced_one_norm(h)
-    if h.is_pauli():
-        per_site: dict = {}
-        for t in h.terms:
-            for site in t.paulis:
-                per_site[site] = per_site.get(site, 0.0) + t.norm
-        if per_site:
-            return max(per_site.values())
-    return one_norm(h)
-
-
-def _capped_alpha(h: HamiltonianSum, j: int) -> float:
-    return 2.0 ** (j - 1) * _induced_estimate(h) ** (j - 1) * one_norm(h)
-
-
-def _alpha_pauli(h: HamiltonianSum, j: int) -> float:
-    cache = h._dense_cache.get("alpha_pauli", [])
-    if len(cache) < j:
+    cache = h._dense_cache.setdefault("alpha_pauli", {})
+    alphas, stopped = cache.get(budget, ([], False))
+    if len(alphas) < depth and not stopped:
         strings = [t.masks() for t in h.terms]
         coeffs = [t.coefficient for t in h.terms]
-        cache = list(
-            pauli.commutator_weight_table(strings, coeffs, j, h.n_qubits)
+        alphas = pauli.commutator_weight_table(
+            strings, coeffs, depth, h.n_qubits, budget
         )
-        h._dense_cache["alpha_pauli"] = cache
-    return float(cache[j - 1])
+        cache[budget] = (alphas, len(alphas) < depth)
+    return alphas[:depth]
 
 
 def _alpha_dense(h: HamiltonianSum, j: int) -> float:
@@ -226,6 +206,37 @@ def _alpha_dense(h: HamiltonianSum, j: int) -> float:
     return cache[j]
 
 
+def _estimates(
+    h: HamiltonianSum, depth: int, budget: int, method: str
+) -> list[AlphaEstimate]:
+    """alpha[1..depth]: exact as deep as the budget reaches, then capped.
+
+    Depth 1 is always exact. Past the last exact depth j0 each entry is
+    alpha[j0] * (2 ||H||_1)^(j - j0), an upper bound because
+    ||[H_g, C]|| <= 2 ||H_g|| ||C|| gives alpha[j] <= 2 ||H||_1 alpha[j-1].
+    """
+    if depth < 1:
+        raise ValueError("depth j must be >= 1")
+    if method not in ("auto", "pauli", "dense"):
+        raise ValueError(f"unknown method {method!r}")
+    use_pauli = h.is_pauli() if method == "auto" else method == "pauli"
+    if use_pauli and not h.is_pauli():
+        raise ValueError("pauli method needs Pauli terms")
+    if use_pauli:
+        exact = _alpha_pauli(h, depth, budget)
+    else:
+        reach = 1
+        while reach < depth and h.gamma ** (reach + 1) <= budget:
+            reach += 1
+        exact = [_alpha_dense(h, j) for j in range(1, reach + 1)]
+    out = [AlphaEstimate(j, v, "exact") for j, v in enumerate(exact, start=1)]
+    growth = 2.0 * one_norm(h)
+    for j in range(len(exact) + 1, depth + 1):
+        bound = exact[-1] * growth ** (j - len(exact))
+        out.append(AlphaEstimate(j, bound, "capped"))
+    return out
+
+
 def alpha_comm(
     h: HamiltonianSum,
     j: int,
@@ -237,25 +248,16 @@ def alpha_comm(
 
     method "auto" uses the Pauli string DP when every term is a Pauli
     string and dense enumeration otherwise; "pauli"/"dense" force a path.
-    When the exact enumeration cost exceeds `budget` the analytic envelope
-    2^(j-1) * induced_norm^(j-1) * one_norm is returned flagged "capped"
-    (or BudgetExceededError is raised when strict).
+    `budget` bounds the work: DP work units (Gamma * |frontier| + 4^n per
+    depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
+    past the budget is returned flagged "capped", as the upper bound
+    alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth j0 (or
+    BudgetExceededError is raised when strict).
     """
-    if j < 1:
-        raise ValueError("depth j must be >= 1")
-    if method not in ("auto", "pauli", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    use_pauli = h.is_pauli() if method == "auto" else method == "pauli"
-    if use_pauli and not h.is_pauli():
-        raise ValueError("pauli method needs Pauli terms")
-    if _exact_cost(h, j, use_pauli) > budget:
-        if strict:
-            raise BudgetExceededError(
-                f"depth {j} needs more than {budget} tuple-equivalents"
-            )
-        return AlphaEstimate(j, _capped_alpha(h, j), "capped")
-    value = _alpha_pauli(h, j) if use_pauli else _alpha_dense(h, j)
-    return AlphaEstimate(j, value, "exact")
+    est = _estimates(h, j, budget, method)[-1]
+    if strict and est.mode == "capped":
+        raise BudgetExceededError(f"depth {j} is beyond the budget of {budget}")
+    return est
 
 
 def build_table(
@@ -264,9 +266,10 @@ def build_table(
     budget: int = DEFAULT_BUDGET,
     method: str = "auto",
 ) -> CommutatorTable:
-    """alpha table for depths 1..depth; mode "capped" if any entry fell
-    back to the envelope."""
-    estimates = [alpha_comm(h, j, budget, method) for j in range(1, depth + 1)]
+    """alpha table for depths 1..depth from one DP run (the per-model cache
+    that alpha_comm reads); mode "capped" if any entry is the upper bound
+    past the budget."""
+    estimates = _estimates(h, depth, budget, method)
     mode = "exact" if all(e.mode == "exact" for e in estimates) else "capped"
     return CommutatorTable(
         gamma=h.gamma,

@@ -3,8 +3,8 @@
 The order condition is a Vandermonde-type system in the nodes k_j^-2 (or
 k_j^-1 for a first-order base); closed-form Lagrange weights are the primary
 solver because explicit Vandermonde solves are notoriously ill-conditioned,
-and a direct solve cross-checks them. Conditioning is always observable
-through ||a||_1 and ||k||_1.
+and every solution is checked by its order-condition residual. Conditioning
+is always observable through ||a||_1 and ||k||_1.
 """
 
 from __future__ import annotations

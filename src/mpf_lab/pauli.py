@@ -32,28 +32,6 @@ def masks_from_sites(paulis: dict[int, str]) -> tuple[int, int]:
     return x, z
 
 
-def sites_from_masks(x: int, z: int, n_qubits: int) -> dict[int, str]:
-    '''Inverse of masks_from_sites.'''
-    out = {}
-    for site in range(n_qubits):
-        bx = (x >> site) & 1
-        bz = (z >> site) & 1
-        if bx or bz:
-            out[site] = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(bx, bz)]
-    return out
-
-
-def anticommutes(x1: int, z1: int, x2: int, z2: int) -> bool:
-    '''True iff the two strings anticommute (symplectic product is odd).'''
-    return (bin(x1 & z2).count("1") + bin(z1 & x2).count("1")) % 2 == 1
-
-
-def string_product_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int]:
-    '''Masks of the product string; the phase is tracked separately
-    and irrelevant to norm bookkeeping.'''
-    return x1 ^ x2, z1 ^ z2
-
-
 def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
     '''Dense matrix of X^x Z^z phase-corrected to the Hermitian Pauli
     string (Y where both bits are set).'''
@@ -67,73 +45,52 @@ def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
 
 
 def commutator_weight_table(
-    strings: list[tuple[int, int]], coefficients: list[float], depth: int, n_qubits: int
+    strings: list[tuple[int, int]],
+    coefficients: list[float],
+    depth: int,
+    n_qubits: int,
+    budget: int | None = None,
 ) -> list[float]:
     """Exact alpha_comm values for depths 1..depth by dynamic programming.
 
-    Aggregates, per resulting string, the total weight
-    sum over suffix tuples of prod 2|c_gamma| (each anticommuting extension
-    doubles the norm and multiplies by |c|). Summing a level's weights gives
-    the sum over all ordered tuples of nested-commutator norms, exactly.
+    A level holds, per reachable string, the total weight over suffix
+    tuples of prod 2|c_gamma| (each anticommuting extension doubles the
+    norm and multiplies by |c|); summing a level's weights gives the sum
+    over all ordered tuples of nested-commutator norms, exactly.
 
-    Dense-index variant: weights live on the full 4^n index space so each
-    depth step is Gamma fused numpy gathers. Falls back to dicts when the
-    space is too large.
+    Strings are int64 keys (x << n) | z. A level is a sorted key array
+    with its weights; a step lets every term act on the frontier strings
+    it anticommutes with (odd popcount of key & ((z_g << n) | x_g)),
+    scatters the moved weights into one length-4^n accumulator and reads
+    the next frontier off its nonzero entries.
+
+    A step costs Gamma * |frontier| + 4^n work units. With a budget the
+    DP stops before the step that would take its total past the budget,
+    so the returned list can be shorter than depth; depth 1 is free.
     """
     gamma = len(strings)
-    if gamma == 0:
-        return [0.0] * depth
-    if 4**n_qubits <= 1 << 22:
-        return _weights_dense(strings, coefficients, depth, n_qubits)
-    return _weights_sparse(strings, coefficients, depth)
-
-
-def _weights_dense(strings, coefficients, depth, n_qubits):
+    term_keys = np.array([(x << n_qubits) | z for x, z in strings], dtype=np.int64)
+    swapped = np.array([(z << n_qubits) | x for x, z in strings], dtype=np.int64)
+    norms = np.abs(np.asarray(coefficients, dtype=np.float64))
+    keys, slot = np.unique(term_keys, return_inverse=True)
+    weights = np.zeros(keys.size)
+    np.add.at(weights, slot, norms)
+    alphas = [float(weights.sum())]
     size = 1 << (2 * n_qubits)
-    idx = np.arange(size, dtype=np.int64)
-    x_all = idx >> n_qubits
-    z_all = idx & ((1 << n_qubits) - 1)
-
-    def popcount_parity(v):
-        # bit-parallel parity of popcount for int64 arrays
-        p = v.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            p ^= p >> shift
-        return (p & 1).astype(bool)
-
-    masks = []
-    perms = []
-    for (x, z), _ in zip(strings, coefficients):
-        anti = popcount_parity((x & z_all)) ^ popcount_parity((z & x_all))
-        masks.append(anti)
-        perms.append(idx ^ ((x << n_qubits) | z))
-
-    w = np.zeros(size)
-    for (x, z), c in zip(strings, coefficients):
-        w[(x << n_qubits) | z] += abs(c)
-    alphas = [float(w.sum())]
-    for _ in range(depth - 1):
-        nxt = np.zeros(size)
-        for c, anti, perm in zip(coefficients, masks, perms):
-            contrib = np.where(anti, w, 0.0)
-            nxt[perm] += 2.0 * abs(c) * contrib
-        w = nxt
-        alphas.append(float(w.sum()))
-    return alphas
-
-
-def _weights_sparse(strings, coefficients, depth):
-    w: dict[tuple[int, int], float] = {}
-    for s, c in zip(strings, coefficients):
-        w[s] = w.get(s, 0.0) + abs(c)
-    alphas = [sum(w.values())]
-    for _ in range(depth - 1):
-        nxt: dict[tuple[int, int], float] = {}
-        for (xs, zs), weight in w.items():
-            for (xg, zg), c in zip(strings, coefficients):
-                if anticommutes(xg, zg, xs, zs):
-                    key = (xg ^ xs, zg ^ zs)
-                    nxt[key] = nxt.get(key, 0.0) + 2.0 * abs(c) * weight
-        w = nxt
-        alphas.append(sum(w.values()))
+    acc = None
+    spent = 0
+    while len(alphas) < depth:
+        cost = gamma * keys.size + size
+        if budget is not None and spent + cost > budget:
+            break
+        spent += cost
+        if acc is None:  # 8 * 4^n bytes, allocated only once a step is affordable
+            acc = np.zeros(size)
+        for key, swap, norm in zip(term_keys, swapped, norms):
+            hit = (np.bitwise_count(keys & swap) & 1) == 1
+            acc[keys[hit] ^ key] += 2.0 * norm * weights[hit]
+        keys = np.flatnonzero(acc)
+        weights = acc[keys]
+        acc[keys] = 0.0
+        alphas.append(float(weights.sum()))
     return alphas

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +14,6 @@ from mpf_lab.hamiltonians import (
     power_law_lattice,
     to_model_json,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("MPF_LAB_THREADS", raising=False)
 
 
 @pytest.fixture
@@ -76,6 +75,11 @@ class TestCommutators:
         assert body["table"]["alpha"]["1"] == pytest.approx(
             one_norm(power_law_lattice(4, 1, 2.0, 0))
         )
+
+    def test_default_budget_reaches_deep_tables(self, run):
+        code, out, _ = run("commutators", "--model", "heisenberg", "--n", "8", "--j-cap", "10")
+        assert code == 0
+        assert json.loads(out)["table"]["mode"] == "exact"
 
     def test_budget_exit_and_capped_escape(self, run):
         code, _, err = run("commutators", "--model", "heisenberg", "--n", "4", "--budget", "50")
@@ -225,17 +229,6 @@ class TestConfigAndIo:
         assert code == 0 and out == ""
         assert path.read_text() == ref
 
-    def test_threads_env_override(self, run, monkeypatch):
-        ref = run("scheme", "--m", "2")[1]
-        monkeypatch.setenv("MPF_LAB_THREADS", "abc")
-        assert run("scheme", "--m", "2")[0] == 2
-        monkeypatch.setenv("MPF_LAB_THREADS", "4")
-        code, out, _ = run("scheme", "--m", "2")
-        assert code == 0 and out == ref
-
-    def test_threads_validation(self, run):
-        assert run("scheme", "--m", "2", "--threads", "0")[0] == 2
-
     def test_repeat_runs_byte_identical(self, run):
         argv = ("commutators", "--model", "power_law", "--n", "4", "--d", "1",
                 "--alpha", "2.0", "--seed", "7")
@@ -243,3 +236,19 @@ class TestConfigAndIo:
         argv = ("convergence", "--model", "heisenberg", "--n", "3",
                 "--dt-grid", "0.2,0.1,0.05,0.025")
         assert run(*argv)[1] == run(*argv)[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("commutators", "--model", "heisenberg", "--n", "4"),
+        ("benchmark", "--n-list", "3,4,5", "--m-list", "1,2", "--eps", "0.1"),
+    ])
+    def test_output_independent_of_blas_threads(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mpf_lab.cli", *argv],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -25,8 +25,8 @@ from mpf_lab.hamiltonians import (
     HamiltonianSum,
     PauliTerm,
     heisenberg_1d,
-    induced_one_norm,
     one_norm,
+    power_law_lattice,
 )
 
 XZ_ALPHA = [2.0, 4.0, 16.0, 32.0, 128.0, 256.0, 1024.0, 2048.0]
@@ -86,9 +86,53 @@ def test_alpha_budget_and_capped_envelope(heis3):
         alpha_comm(heis3, 4, budget=10, strict=True)
     est = alpha_comm(heis3, 4, budget=10)
     assert est.mode == "capped"
-    envelope = 2**3 * induced_one_norm(heis3) ** 3 * one_norm(heis3)
+    envelope = one_norm(heis3) * (2 * one_norm(heis3)) ** 3
     assert est.value == pytest.approx(envelope)
     assert est.value >= alpha_comm(heis3, 4).value
+
+
+def test_capped_alpha_is_an_upper_bound():
+    assert alpha_comm(heisenberg_1d(8), 4, budget=1).value >= 46080.0
+    plaw = power_law_lattice(7, 1, 2.0)
+    assert alpha_comm(plaw, 3, budget=1).mode == "capped"
+    assert alpha_comm(plaw, 3, budget=1).value >= alpha_comm(plaw, 3).value
+    # caps from every last exact depth j0, not only from depth 1
+    h = heisenberg_1d(8)
+    exact = build_table(h, 8)
+    assert exact.mode == "exact"
+    for budget in (1, 7 * 10**4, 2 * 10**5, 3 * 10**5, 6 * 10**5):
+        table = build_table(h, 8, budget=budget)
+        assert table.mode == "capped"
+        for j in range(1, 9):
+            assert table.alpha[j] >= exact.alpha[j]
+
+
+def test_twelve_qubit_register(xz1):
+    # X + Z on qubit 11 of a 12-qubit register: a 4^12-string space
+    h = HamiltonianSum(12, (PauliTerm(12, 1.0, {11: "X"}), PauliTerm(12, 1.0, {11: "Z"})))
+    table = build_table(h, 6, budget=10**9)
+    assert table.mode == "exact"
+    assert [table.alpha[j] for j in range(1, 7)] == [build_table(xz1, 6).alpha[j] for j in range(1, 7)]
+    assert build_table(h, 6).mode == "capped"
+
+
+_letters = st.dictionaries(st.integers(0, 2), st.sampled_from("XYZ"), max_size=3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(st.floats(-2.0, 2.0), _letters), min_size=1, max_size=5),
+    st.integers(1, 4),
+)
+def test_pauli_dp_matches_dense_oracle(n, specs, j):
+    terms = []
+    for coefficient, letters in specs:
+        terms.append(PauliTerm(n, coefficient, {s % n: p for s, p in letters.items()}))
+    h = HamiltonianSum(n, tuple(terms))
+    fast = alpha_comm(h, j, method="pauli").value
+    dense = alpha_comm(h, j, method="dense").value
+    assert fast == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
 def test_table_construction_and_json(heis3):

@@ -4,47 +4,12 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from conftest import kron_string
-from mpf_lab.pauli import (
-    anticommutes,
-    dense_string,
-    masks_from_sites,
-    sites_from_masks,
-    string_product_masks,
-)
+from mpf_lab.pauli import dense_string, masks_from_sites
 
 site_maps = st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4)
-
-
-@given(site_maps)
-def test_mask_round_trip(paulis):
-    x, z = masks_from_sites(paulis)
-    assert sites_from_masks(x, z, 4) == paulis
 
 
 @given(site_maps)
 def test_dense_string_matches_kron(paulis):
     x, z = masks_from_sites(paulis)
     assert np.allclose(dense_string(x, z, 4), kron_string(4, paulis), atol=1e-14)
-
-
-@given(site_maps, site_maps)
-def test_anticommutes_matches_dense(pa, pb):
-    a = kron_string(4, pa)
-    b = kron_string(4, pb)
-    dense_anti = np.allclose(a @ b, -b @ a, atol=1e-12) and np.any(a @ b)
-    xa, za = masks_from_sites(pa)
-    xb, zb = masks_from_sites(pb)
-    assert anticommutes(xa, za, xb, zb) == dense_anti
-
-
-@given(site_maps, site_maps)
-def test_product_masks_match_dense_up_to_phase(pa, pb):
-    xa, za = masks_from_sites(pa)
-    xb, zb = masks_from_sites(pb)
-    px, pz = string_product_masks(xa, za, xb, zb)
-    prod = kron_string(4, pa) @ kron_string(4, pb)
-    want = dense_string(px, pz, 4)
-    # masks carry the string only; the product differs by a power of i
-    overlap = np.trace(want.conj().T @ prod) / 16
-    assert abs(abs(overlap) - 1.0) <= 1e-12
-    assert np.allclose(prod, overlap * want, atol=1e-12)
