@@ -248,7 +248,7 @@ def alpha_comm(
 
     method "auto" uses the Pauli string DP when every term is a Pauli
     string and dense enumeration otherwise; "pauli"/"dense" force a path.
-    `budget` bounds the work: DP work units (Gamma * |frontier| + 4^n per
+    `budget` bounds the work: DP work units (Gamma * |frontier| per
     depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
     past the budget is returned flagged "capped", as the upper bound
     alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth j0 (or

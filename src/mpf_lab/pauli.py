@@ -44,12 +44,27 @@ def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
     return out
 
 
+# (x << n) | z must fit one uint64 key
+MAX_QUBITS = 32
+
+# a level folds its moved parts into one sorted array past this many pending
+# entries, so it holds O(|frontier| + _FOLD) entries, not Gamma * |frontier|
+_FOLD = 1 << 18
+
+
+def _fold(parts: list) -> tuple:
+    """Sorted distinct keys of the (keys, weights) parts, each with the
+    summed weight of its copies."""
+    keys, slot = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    return keys, np.bincount(slot, np.concatenate([w for _, w in parts]))
+
+
 def commutator_weight_table(
     strings: list[tuple[int, int]],
     coefficients: list[float],
     depth: int,
     n_qubits: int,
-    budget: int | None = None,
+    budget: int,
 ) -> list[float]:
     """Exact alpha_comm values for depths 1..depth by dynamic programming.
 
@@ -58,39 +73,38 @@ def commutator_weight_table(
     norm and multiplies by |c|); summing a level's weights gives the sum
     over all ordered tuples of nested-commutator norms, exactly.
 
-    Strings are int64 keys (x << n) | z. A level is a sorted key array
-    with its weights; a step lets every term act on the frontier strings
-    it anticommutes with (odd popcount of key & ((z_g << n) | x_g)),
-    scatters the moved weights into one length-4^n accumulator and reads
-    the next frontier off its nonzero entries.
+    Strings are uint64 keys (x << n) | z, so n_qubits <= MAX_QUBITS. A
+    level is a sorted key array with its weights; a step lets every term
+    act on the frontier strings it anticommutes with (odd popcount of
+    key & ((z_g << n) | x_g)), and sorts the moved keys, summing the
+    weights of equal ones, into the next frontier.
 
-    A step costs Gamma * |frontier| + 4^n work units. With a budget the
-    DP stops before the step that would take its total past the budget,
-    so the returned list can be shorter than depth; depth 1 is free.
+    A step costs Gamma * |frontier| work units. The DP stops before the
+    step that would take its total past the budget, so the returned list
+    can be shorter than depth; depth 1 is free.
     """
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"the Pauli DP packs strings into 64-bit keys: n <= {MAX_QUBITS}, got {n_qubits}"
+        )
     gamma = len(strings)
-    term_keys = np.array([(x << n_qubits) | z for x, z in strings], dtype=np.int64)
-    swapped = np.array([(z << n_qubits) | x for x, z in strings], dtype=np.int64)
+    term_keys = np.array([(x << n_qubits) | z for x, z in strings], dtype=np.uint64)
+    swapped = np.array([(z << n_qubits) | x for x, z in strings], dtype=np.uint64)
     norms = np.abs(np.asarray(coefficients, dtype=np.float64))
-    keys, slot = np.unique(term_keys, return_inverse=True)
-    weights = np.zeros(keys.size)
-    np.add.at(weights, slot, norms)
+    keys, weights = _fold([(term_keys, norms)])
     alphas = [float(weights.sum())]
-    size = 1 << (2 * n_qubits)
-    acc = None
     spent = 0
     while len(alphas) < depth:
-        cost = gamma * keys.size + size
-        if budget is not None and spent + cost > budget:
+        spent += gamma * keys.size
+        if spent > budget:
             break
-        spent += cost
-        if acc is None:  # 8 * 4^n bytes, allocated only once a step is affordable
-            acc = np.zeros(size)
+        parts, pending = [], 0
         for key, swap, norm in zip(term_keys, swapped, norms):
             hit = (np.bitwise_count(keys & swap) & 1) == 1
-            acc[keys[hit] ^ key] += 2.0 * norm * weights[hit]
-        keys = np.flatnonzero(acc)
-        weights = acc[keys]
-        acc[keys] = 0.0
+            parts.append((keys[hit] ^ key, 2.0 * norm * weights[hit]))
+            pending += parts[-1][0].size
+            if pending > _FOLD:
+                parts, pending = [_fold(parts)], 0
+        keys, weights = _fold(parts)
         alphas.append(float(weights.sum()))
     return alphas

@@ -81,6 +81,20 @@ class TestCommutators:
         assert code == 0
         assert json.loads(out)["table"]["mode"] == "exact"
 
+    def test_twelve_and_thirty_two_qubit_chains(self, run):
+        code, out, _ = run("commutators", "--model", "heisenberg", "--n", "12")
+        assert code == 0
+        table = json.loads(out)["table"]
+        assert table["mode"] == "exact"
+        assert [table["alpha"][str(j)] for j in range(1, 5)] == [36.0, 288.0, 4608.0, 69120.0]
+        code, out, _ = run("commutators", "--model", "heisenberg", "--n", "32", "--allow-capped")
+        assert code == 0
+        table = json.loads(out)["table"]
+        assert [table["alpha"][str(j)] for j in range(1, 4)] == [96.0, 768.0, 12288.0]
+        # 33 qubits no longer fit the DP's 64-bit string keys
+        code, _, err = run("commutators", "--model", "heisenberg", "--n", "33", "--allow-capped")
+        assert code == 2 and "n <= 32" in err
+
     def test_budget_exit_and_capped_escape(self, run):
         code, _, err = run("commutators", "--model", "heisenberg", "--n", "4", "--budget", "50")
         assert code == 3
