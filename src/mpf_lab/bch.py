@@ -9,9 +9,9 @@ Conventions. phi_k(Y_1..Y_k) = (1/k^2) sum_sigma (-1)^d / C(k-1, d) *
 [Y_s1,[...,Y_sk]] with d the descent count of sigma. The degree-k term of
 log(e^(W_1) ... e^(W_L)) is sum over compositions i of k into L slots of
 phi_k(W_1 x i_1, ..., W_L x i_L) / prod(i!), letters ordered as the
-exponentials. Enumeration aggregates scalar weights per induced letter tuple
-first and only then touches matrices, with shared-suffix evaluation; mirror
-letters that point at the same array collapse to one matrix id.
+exponentials. The library computes every such term up to a depth K at once
+from truncated matrix power series; phi_k is kept as the independent
+oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ WORD_DEPTH_CAP = 7
 
 
 class DepthCapError(ValueError):
-    """Requested expansion depth exceeds the enumeration cap."""
+    """Requested expansion depth exceeds the depth cap."""
 
 
 class ConvergenceRiskError(ValueError):
@@ -114,40 +114,6 @@ def _permutation_weights(k: int) -> list:
     return out
 
 
-def _evaluate_weighted_nested(weights: dict, mats: list, dim: int) -> np.ndarray:
-    '''sum_t w_t [M_t0,[M_t1,...]] sharing partial results across tuples
-    with a common suffix.'''
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    if not weights:
-        return total
-    scale = max(abs(w) for w in weights.values())
-    items = sorted(
-        (t, w) for t, w in weights.items() if abs(w) > 1e-15 * scale
-    )
-    items.sort(key=lambda it: it[0][::-1])
-    k = len(items[0][0]) if items else 0
-    suffixes = [None] * k
-    prev = None
-    for t, w in items:
-        if prev is None:
-            start = k - 1
-        else:
-            r = k - 1
-            while r >= 0 and t[r] == prev[r]:
-                r -= 1
-            start = r
-        for r in range(start, -1, -1):
-            if r == k - 1:
-                suffixes[r] = mats[t[r]]
-            else:
-                m = mats[t[r]]
-                s = suffixes[r + 1]
-                suffixes[r] = m @ s - s @ m
-        total += w * suffixes[0]
-        prev = t
-    return total
-
-
 def phi_k(y_list) -> DenseOperator:
     '''Degree-k component functional of the log-of-product expansion.
 
@@ -163,56 +129,52 @@ def phi_k(y_list) -> DenseOperator:
         raise DimMismatchError("operators must share one square shape")
     if k == 1:
         return DenseOperator(ys[0])
-    weights: dict = {}
+    total = np.zeros((dim, dim), dtype=np.complex128)
     for p, w in _permutation_weights(k):
-        weights[p] = weights.get(p, 0.0) + w
-    total = _evaluate_weighted_nested(weights, ys, dim)
+        nested = ys[p[-1]]
+        for i in p[-2::-1]:
+            nested = ys[i] @ nested - nested @ ys[i]
+        total += w * nested
     return DenseOperator(total / k**2)
 
 
-def _compositions(total: int, slots: int):
-    '''Nonnegative integer compositions, lexicographic.'''
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
+    '''Homogeneous terms of degree 0..K of log(e^(W_1) ... e^(W_L)),
+    stacked so that entry k is the degree-k term.
 
-
-def _log_product_term(letters: list, k: int) -> np.ndarray:
-    '''Degree-k homogeneous term of log(e^(W_1) ... e^(W_L)).
-
-    Scalar permutation weights are accumulated per induced letter tuple,
-    tuples are collapsed onto distinct matrix ids, and only then are nested
-    commutators evaluated.'''
+    The product of the exponentials is a matrix power series in a formal
+    scale (W_i -> t W_i) truncated at degree K, and log(I + X) is the
+    truncated sum_{m<=K} (-1)^(m+1) X^m / m: O(L K^2 + K^3) matmuls for
+    every degree at once (Casas & Murua, J. Math. Phys. 50 (2009)).'''
     dim = letters[0].shape[0]
-    ids = []
-    id_map: dict[int, int] = {}
-    mats: list = []
+    terms = np.zeros((big_k + 1, dim, dim), dtype=np.complex128)
+    distinct = list({id(w): w for w in letters}.values())
+    if all(
+        np.array_equal(a @ b, b @ a) for a, b in itertools.combinations(distinct, 2)
+    ):
+        # exact zeros above degree 1; the series would leave rounding there
+        terms[1] = sum(letters)
+        return terms
+    x = np.zeros_like(terms)  # the product minus I, by degree
     for w in letters:
-        key = id(w)
-        if key not in id_map:
-            id_map[key] = len(mats)
-            mats.append(w)
-        ids.append(id_map[key])
-
-    perm_weights = _permutation_weights(k)
-    factorials = [math.factorial(i) for i in range(k + 1)]
-    weights: dict = {}
-    n_letters = len(letters)
-    for comp in _compositions(k, n_letters):
-        denom = 1.0
-        arg = []
-        for letter_index, count in enumerate(comp):
-            if count:
-                denom *= factorials[count]
-                arg.extend([ids[letter_index]] * count)
-        inv = 1.0 / denom
-        for p, w in perm_weights:
-            t = tuple(arg[i] for i in p)
-            weights[t] = weights.get(t, 0.0) + w * inv
-    return _evaluate_weighted_nested(weights, mats, dim) / k**2
+        powers = [None, w]  # w^j / j!
+        for j in range(2, big_k + 1):
+            powers.append(powers[-1] @ w / j)
+        for d in range(big_k, 0, -1):  # descending: x[d - j] is still old
+            acc = x[d] + powers[d]
+            for j in range(1, d):
+                acc += x[d - j] @ powers[j]
+            x[d] = acc
+    terms += x
+    power = x
+    for m in range(2, big_k + 1):
+        nxt = np.zeros_like(x)
+        for d in range(m, big_k + 1):
+            for j in range(m - 1, d):
+                nxt[d] += power[j] @ x[d - j]
+        power = nxt
+        terms += ((-1) ** (m + 1) / m) * power
+    return terms
 
 
 def _log_unitary(u: np.ndarray) -> np.ndarray:
@@ -246,9 +208,7 @@ def bch_two_term_check(x: DenseOperator, y: DenseOperator, k_max: int) -> float:
     if k_max > PHI_DEPTH_CAP:
         raise DepthCapError(f"k_max = {k_max} exceeds {PHI_DEPTH_CAP}")
     letters = [np.asarray(x.matrix), np.asarray(y.matrix)]
-    z = np.zeros_like(letters[0])
-    for k in range(1, k_max + 1):
-        z = z + _log_product_term(letters, k)
+    z = _log_product_terms(letters, k_max).sum(axis=0)
     reference = _log_unitary(
         _expm_anti_hermitian(letters[0]) @ _expm_anti_hermitian(letters[1])
     )
@@ -257,7 +217,7 @@ def bch_two_term_check(x: DenseOperator, y: DenseOperator, k_max: int) -> float:
 
 def _symmetric_word(h: HamiltonianSum, s: float) -> list:
     '''Letters of the order-2 stage sequence, scaled by -i s; mirror stages
-    share one array so they collapse to a single matrix id.'''
+    share one array.'''
     mats = h.term_matrices()
     scaled = [(-1j * s * 0.5) * m for m in mats]
     return [scaled[g] for g, _ in build_spec(2, h.gamma).stages]
@@ -266,7 +226,7 @@ def _symmetric_word(h: HamiltonianSum, s: float) -> list:
 def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
     '''Degree-k term of the log of the symmetric splitting formula.
 
-    Even k is structurally zero (symmetry) and returns without enumeration.
+    Even k is structurally zero (symmetry) and returns without the series.
     The bound column is s^k * alpha_comm_k / k^2; the convergence flag is the
     heuristic radius certificate from the commutator table.'''
     if k < 1:
@@ -274,23 +234,16 @@ def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
     if k > WORD_DEPTH_CAP:
         raise DepthCapError(f"k = {k} exceeds the cap {WORD_DEPTH_CAP}")
     dim = h.dim
-    alpha_k = commutators.alpha_comm(h, k).value
-    bound = abs(s) ** k * alpha_k / k**2
-    premise_ok = _premise_holds(h, abs(s), min(WORD_DEPTH_CAP, max(k, 3)))
+    table = commutators.build_table(h, max(k, 3))
+    bound = abs(s) ** k * table.alpha[k] / k**2
+    premise_ok = abs(s) <= commutators.convergence_radius(table)
     if k % 2 == 0:
         zero = DenseOperator(np.zeros((dim, dim), dtype=np.complex128))
         return BchTermReport(k, zero, 0.0, bound, premise_ok, True)
-    word = _symmetric_word(h, s)
-    value = _log_product_term(word, k)
+    value = _log_product_terms(_symmetric_word(h, s), k)[k]
     return BchTermReport(
         k, DenseOperator(value), float(spectral_norm(value)), bound, premise_ok
     )
-
-
-def _premise_holds(h: HamiltonianSum, s: float, depth: int) -> bool:
-    table = commutators.build_table(h, depth)
-    radius = commutators.convergence_radius(table)
-    return s <= radius
 
 
 def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> DenseOperator:
@@ -298,13 +251,15 @@ def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> DenseOperato
     exp(Z_K) tracks the splitting formula to order K+2.'''
     if big_k > WORD_DEPTH_CAP:
         raise DepthCapError(f"K = {big_k} exceeds the cap {WORD_DEPTH_CAP}")
-    if not _premise_holds(h, abs(s), min(WORD_DEPTH_CAP, max(big_k, 3))):
+    table = commutators.build_table(h, max(big_k, 3))
+    if abs(s) > commutators.convergence_radius(table):
         raise ConvergenceRiskError(
             "step size exceeds the heuristic convergence radius"
         )
+    terms = _log_product_terms(_symmetric_word(h, s), big_k)
     z = -1j * s * h.dense()
     for k in range(3, big_k + 1, 2):
-        z = z + symmetric_bch_term(h, k, s).phi_value.matrix
+        z = z + terms[k]
     return DenseOperator(z, hint="anti_hermitian")
 
 

@@ -1,12 +1,18 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import fit_loglog, rand_anti_hermitian
 from mpf_lab.bch import (
     ConvergenceRiskError,
     DepthCapError,
     Permutation,
+    _log_product_terms,
+    _log_unitary,
     bch_two_term_check,
     descent_count,
     dyson_expansion,
@@ -77,6 +83,49 @@ def test_phi_k_caps_and_mismatch():
         phi_k(_rand_ops(rng, 9, dim=2))
     with pytest.raises(DimMismatchError):
         phi_k([DenseOperator(np.zeros((2, 2), dtype=complex)), DenseOperator(np.zeros((4, 4), dtype=complex))])
+
+
+def _oracle_log_product_term(letters, k):
+    """Degree-k term of log(e^(W_1) ... e^(W_L)) from phi_k: the sum over
+    compositions i of k of phi_k(W_1 x i_1, ..., W_L x i_L) / prod(i!)."""
+    dim = letters[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for comp in itertools.product(range(k + 1), repeat=len(letters)):
+        if sum(comp) != k:
+            continue
+        args = [w for w, count in zip(letters, comp) for _ in range(count)]
+        weight = 1.0 / math.prod(math.factorial(c) for c in comp)
+        total += weight * phi_k(args).matrix
+    return total
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=4),
+    st.integers(1, 5),
+)
+def test_log_product_terms_match_phi_oracle(seed, dim, pool_size, picks, k):
+    # letters are drawn with repetition from a small pool, as the same array
+    # (aliased) or as an equal copy
+    rng = np.random.default_rng(seed)
+    pool = [rand_anti_hermitian(rng, dim, 0.3 * rng.random()) for _ in range(pool_size)]
+    letters = [pool[i % pool_size].copy() if copy else pool[i % pool_size] for i, copy in picks]
+    terms = _log_product_terms(letters, k)
+    for degree in range(1, k + 1):
+        want = _oracle_log_product_term(letters, degree)
+        assert np.max(np.abs(terms[degree] - want)) <= 1e-12, degree
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3])
+@pytest.mark.parametrize("n, distinct", [(3, 2), (4, 4), (5, 6)])
+def test_log_unitary_degenerate_heisenberg_spectra(n, distinct, s):
+    h = heisenberg_1d(n).dense()
+    assert len(np.unique(np.round(np.linalg.eigvalsh(h), 8))) == distinct
+    log = _log_unitary(scipy.linalg.expm(-1j * s * h))
+    assert np.max(np.abs(log + 1j * s * h)) <= 1e-12
 
 
 def test_two_term_check_trivial_cases():

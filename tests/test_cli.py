@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from mpf_lab import pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table, table_to_json
 from mpf_lab.hamiltonians import (
@@ -208,6 +210,31 @@ class TestBchVerify:
         assert [t["norm"] for t in body["terms"]] == [0.0, 0.0, 0.0]
         assert body["generator_residual"] <= 1e-12
 
+    def test_depth_cap_runs_in_seconds(self, run):
+        t0 = time.monotonic()
+        code, out, _ = run("bch-verify", "--model", "heisenberg", "--n", "3",
+                           "--k-max", "7", "--s", "0.05")
+        assert time.monotonic() - t0 < 10.0
+        assert code == 0
+        body = json.loads(out)
+        assert body["K"] == 7
+        assert [t["k"] for t in body["terms"]] == [2, 3, 4, 5, 6, 7]
+        assert all(t["bound_satisfied"] for t in body["terms"])
+
+    def test_one_pauli_dp_per_run(self, run, monkeypatch):
+        depths = []
+        dp = pauli.commutator_weight_table
+
+        def counted(strings, coeffs, depth, *args):
+            depths.append(depth)
+            return dp(strings, coeffs, depth, *args)
+
+        monkeypatch.setattr(pauli, "commutator_weight_table", counted)
+        code, _, _ = run("bch-verify", "--model", "heisenberg", "--n", "3",
+                         "--k-max", "5", "--s", "0.05")
+        assert code == 0
+        assert depths == [5]
+
     def test_premise_exit(self, run):
         code, _, err = run("bch-verify", "--model", "heisenberg", "--n", "3", "--s", "0.5")
         assert code == 4
@@ -254,6 +281,7 @@ class TestConfigAndIo:
     @pytest.mark.parametrize("argv", [
         ("commutators", "--model", "heisenberg", "--n", "4"),
         ("benchmark", "--n-list", "3,4,5", "--m-list", "1,2", "--eps", "0.1"),
+        ("bch-verify", "--model", "heisenberg", "--n", "3", "--k-max", "7"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
