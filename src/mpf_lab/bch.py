@@ -46,6 +46,7 @@ __all__ = [
     "effective_generator",
     "phi_k",
     "symmetric_bch_term",
+    "symmetric_bch_terms",
 ]
 
 PHI_DEPTH_CAP = 8
@@ -223,44 +224,66 @@ def _symmetric_word(h: HamiltonianSum, s: float) -> list:
     return [scaled[g] for g, _ in build_spec(2, h.gamma).stages]
 
 
-def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
-    '''Degree-k term of the log of the symmetric splitting formula.
+def symmetric_bch_terms(
+    h: HamiltonianSum, ks, s: float, big_k: int | None = None
+) -> tuple:
+    '''Degree-k terms of the log of the symmetric splitting formula for
+    each k in ks and, when big_k is given, the effective generator Z_K,
+    all from one truncated series as deep as the deepest odd degree asked.
 
-    Even k is structurally zero (symmetry) and returns without the series.
-    The bound column is s^k * alpha_comm_k / k^2; the convergence flag is the
-    heuristic radius certificate from the commutator table.'''
-    if k < 1:
+    Returns (reports, generator); generator is None without big_k. Even k
+    is structurally zero (symmetry) and needs no series. A report's bound
+    column is s^k * alpha_comm_k / k^2 and its convergence flag the
+    heuristic radius certificate from the depth-max(k, 3) commutator
+    table. Z_K = -i s H + the odd terms of degree 3..K; exp(Z_K) tracks the
+    splitting formula to order K+2, and it needs s inside the radius of the
+    depth-max(K, 3) table (ConvergenceRiskError otherwise).'''
+    ks = list(ks)
+    if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    if k > WORD_DEPTH_CAP:
-        raise DepthCapError(f"k = {k} exceeds the cap {WORD_DEPTH_CAP}")
-    dim = h.dim
-    table = commutators.build_table(h, max(k, 3))
-    bound = abs(s) ** k * table.alpha[k] / k**2
-    premise_ok = abs(s) <= commutators.convergence_radius(table)
-    if k % 2 == 0:
-        zero = DenseOperator(np.zeros((dim, dim), dtype=np.complex128))
-        return BchTermReport(k, zero, 0.0, bound, premise_ok, True)
-    value = _log_product_terms(_symmetric_word(h, s), k)[k]
-    return BchTermReport(
-        k, DenseOperator(value), float(spectral_norm(value)), bound, premise_ok
-    )
+    asked = ks if big_k is None else [*ks, big_k]
+    if max(asked, default=0) > WORD_DEPTH_CAP:
+        raise DepthCapError(f"k = {max(asked)} exceeds the cap {WORD_DEPTH_CAP}")
+    # deepest first: its DP run is cached for the shallower tables
+    depths = sorted({max(k, 3) for k in asked}, reverse=True)
+    tables = {d: commutators.build_table(h, d) for d in depths}
+    radius = {d: commutators.convergence_radius(t) for d, t in tables.items()}
+    if big_k is not None and abs(s) > radius[max(big_k, 3)]:
+        raise ConvergenceRiskError(
+            "step size exceeds the heuristic convergence radius"
+        )
+    depth = max([k for k in ks if k % 2] + [big_k or 0])
+    terms = _log_product_terms(_symmetric_word(h, s), depth) if depth else None
+    reports = []
+    for k in ks:
+        bound = abs(s) ** k * tables[max(k, 3)].alpha[k] / k**2
+        premise_ok = abs(s) <= radius[max(k, 3)]
+        if k % 2 == 0:
+            zero = DenseOperator(np.zeros((h.dim, h.dim), dtype=np.complex128))
+            reports.append(BchTermReport(k, zero, 0.0, bound, premise_ok, True))
+        else:
+            reports.append(BchTermReport(
+                k, DenseOperator(terms[k]), float(spectral_norm(terms[k])),
+                bound, premise_ok,
+            ))
+    if big_k is None:
+        return reports, None
+    z = -1j * s * h.dense()
+    for k in range(3, big_k + 1, 2):
+        z = z + terms[k]
+    return reports, DenseOperator(z, hint="anti_hermitian")
+
+
+def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
+    '''Degree-k term of the log of the symmetric splitting formula, with
+    its bound and convergence flag (see symmetric_bch_terms).'''
+    return symmetric_bch_terms(h, [k], s)[0][0]
 
 
 def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> DenseOperator:
     '''Z_K = -i s H + sum of the odd expansion terms up to depth K;
     exp(Z_K) tracks the splitting formula to order K+2.'''
-    if big_k > WORD_DEPTH_CAP:
-        raise DepthCapError(f"K = {big_k} exceeds the cap {WORD_DEPTH_CAP}")
-    table = commutators.build_table(h, max(big_k, 3))
-    if abs(s) > commutators.convergence_radius(table):
-        raise ConvergenceRiskError(
-            "step size exceeds the heuristic convergence radius"
-        )
-    terms = _log_product_terms(_symmetric_word(h, s), big_k)
-    z = -1j * s * h.dense()
-    for k in range(3, big_k + 1, 2):
-        z = z + terms[k]
-    return DenseOperator(z, hint="anti_hermitian")
+    return symmetric_bch_terms(h, [], s, big_k)[1]
 
 
 def e_j_operator(h: HamiltonianSum, j: int) -> DenseOperator:

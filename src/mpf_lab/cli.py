@@ -358,8 +358,8 @@ def cmd_bch_verify(config: RunConfig) -> str:
         raise UsageError(f"k_max must be in [1, {bch.WORD_DEPTH_CAP}]")
     if s <= 0:
         raise UsageError("s must be positive")
-    # deepest term first: its premise table is the one DP run the rest reuse
-    reports = [bch.symmetric_bch_term(h, k, s) for k in range(k_max, 1, -1)]
+    big_k = k_max if k_max % 2 == 1 else k_max - 1
+    reports, generator = bch.symmetric_bch_terms(h, range(2, k_max + 1), s, big_k)
     terms = [
         {
             "k": report.k,
@@ -369,10 +369,8 @@ def cmd_bch_verify(config: RunConfig) -> str:
             "converged_premise": report.converged_premise,
             "bound_satisfied": report.norm <= report.bound + 1e-9,
         }
-        for report in reversed(reports)
+        for report in reports
     ]
-    big_k = k_max if k_max % 2 == 1 else k_max - 1
-    generator = bch.effective_generator(h, s, big_k)
     residual = operators.spectral_norm(
         formulas.trotter_u2(h, s).matrix
         - operators.matrix_exponential(generator).matrix

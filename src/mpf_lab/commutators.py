@@ -219,10 +219,7 @@ def _estimates(
         raise ValueError("depth j must be >= 1")
     if method not in ("auto", "pauli", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    use_pauli = h.is_pauli() if method == "auto" else method == "pauli"
-    if use_pauli and not h.is_pauli():
-        raise ValueError("pauli method needs Pauli terms")
-    if use_pauli:
+    if method != "dense":
         exact = _alpha_pauli(h, depth, budget)
     else:
         reach = 1
@@ -246,8 +243,8 @@ def alpha_comm(
 ) -> AlphaEstimate:
     """Sum of depth-j nested-commutator norms over all Gamma^j tuples.
 
-    method "auto" uses the Pauli string DP when every term is a Pauli
-    string and dense enumeration otherwise; "pauli"/"dense" force a path.
+    method "auto" and "pauli" run the Pauli string DP (every term is a
+    Pauli string); "dense" runs the tuple enumeration it is checked against.
     `budget` bounds the work: DP work units (Gamma * |frontier| per
     depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
     past the budget is returned flagged "capped", as the upper bound

@@ -295,28 +295,84 @@ def _minimal_r(
     target: np.ndarray,
     r_hint: int,
 ) -> tuple:
-    """Smallest r with powered-step error <= eps, by doubling then
-    bisection; returns (r, error, evaluations dict)."""
+    """Smallest r with powered-step error <= eps, by the law-guided search
+    seeded at r_hint; returns (r, error, evaluations dict)."""
+    return _search_minimal_r(
+        lambda r: _powered_error(h, big_t, r, scheme, target),
+        eps,
+        r_hint,
+        2 * scheme.half_order,
+    )
+
+
+def _search_minimal_r(err, eps: float, r_hint: int, order: int) -> tuple:
+    """Smallest r with err(r) <= eps, with the certificate bisection ends on.
+
+    lo is the largest r seen with err(r) > eps (0 at the start) and hi the
+    smallest seen with err(r) <= eps; every probe lands strictly between
+    them, so it becomes the new lo or hi. A probe predicts the crossing
+    from the error law err ~ r^-p (p = order until two points give a
+    log-log slope, see _predict_crossing), clamped into (lo, hi); with no
+    hi yet it is clamped into [lo + stride, R_CAP], the stride doubling
+    with every probe that falls short. A bracket that has not halved
+    within two probes is bisected, which keeps the worst case logarithmic. The search
+    ends at hi - lo == 1: err(hi) <= eps and err(hi - 1) > eps have both
+    been evaluated (unless hi == 1). On a monotone profile that is the r
+    bisection returns. Returns (r, err(r), {r: err(r)} of every probe).
+
+    Raises:
+        InfeasibleError: If err(R_CAP) > eps.
+    """
+    r_cap = R_CAP
     evals: dict = {}
-
-    def err(r: int) -> float:
-        if r not in evals:
-            evals[r] = _powered_error(h, big_t, r, scheme, target)
-        return evals[r]
-
-    hi = max(1, min(r_hint, R_CAP))
-    while err(hi) > eps:
-        if hi >= R_CAP:
-            raise InfeasibleError(f"no r <= {R_CAP} reaches eps = {eps}")
-        hi = min(hi * 2, R_CAP)
-    lo = 0
-    while hi - lo > 1:
-        mid = (hi + lo) // 2
-        if err(mid) <= eps:
-            hi = mid
+    lo, hi = 0, None
+    stride, width, stalled = 1, 0, 0
+    r = max(1, min(r_hint, r_cap))
+    while True:
+        evals[r] = err(r)
+        if evals[r] <= eps:
+            hi = r
         else:
-            lo = mid
-    return hi, err(hi), evals
+            lo = r
+        if hi is None:
+            if lo >= r_cap:
+                raise InfeasibleError(f"no r <= {r_cap} reaches eps = {eps}")
+            low, high = lo + stride, r_cap
+            stride *= 2
+        else:
+            if hi - lo == 1:
+                return hi, evals[hi], evals
+            if width and hi - lo > (width + 1) // 2:
+                stalled += 1
+            else:
+                width, stalled = hi - lo, 0
+            if stalled >= 2:
+                r = (lo + hi) // 2
+                continue
+            low, high = lo + 1, hi - 1
+        r = min(max(_predict_crossing(evals, eps, order, r_cap), low), high)
+
+
+def _predict_crossing(evals: dict, eps: float, order: int, r_cap: int) -> int:
+    """ceil(r * (err(r) / eps)^(1/p)), capped at r_cap, from the evaluated
+    point nearest the crossing in log error; p is the log-log slope through
+    the two nearest points, or order while that is not a positive number."""
+    points = sorted(
+        (abs(math.log(e / eps)), math.log(r), math.log(e))
+        # an exact zero error has no logarithm
+        for r, e in ((r, max(e, 1e-300)) for r, e in evals.items())
+    )
+    _, log_r, log_e = points[0]
+    p = float(order)
+    if len(points) > 1:
+        _, log_r1, log_e1 = points[1]
+        slope = (log_e1 - log_e) / (log_r - log_r1)
+        if slope > 0.0 and math.isfinite(slope):
+            p = slope
+    log_x = log_r + (log_e - math.log(eps)) / p
+    if log_x >= math.log(r_cap):
+        return r_cap
+    return math.ceil(math.exp(log_x))
 
 
 def _monotone(evals: dict) -> bool:
@@ -337,9 +393,12 @@ def heisenberg_benchmark(
     """Minimal-segment query counts for periodic spin chains, fitted
     against chain length per m.
 
-    The bracket seed is ceil(mu_hat * T) from a shallow exact commutator
-    table. A non-monotone error profile over the evaluated points flags the
-    cell and the search is retried once with a widened bracket.
+    Each chain is built once for every m: its exact evolution, and one
+    exact commutator table deep enough for the largest m. The search for
+    r (_search_minimal_r) is seeded at ceil(mu_hat * T) and predicts the
+    crossing from the r^-2m error law. A non-monotone error profile over
+    the evaluated points flags the cell and the search is retried once,
+    seeded at 4r.
     """
     if t_rule != "T=n":
         raise ValueError("only the T=n rule is implemented")
@@ -348,49 +407,62 @@ def heisenberg_benchmark(
         raise ValueError("need at least 3 chain lengths")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
+    m_values = sorted(set(int(m) for m in m_list))
+    schemes = {m: solve_order_condition(power_schedule(m), m) for m in m_values}
+    cells: dict = {m: [] for m in m_values}
+    for n in n_values:
+        h = heisenberg_1d(n, periodic=periodic)
+        big_t = float(n)
+        target = exact_evolution(h, big_t).matrix
+        table = build_table(h, 2 * max(m_values) + 3, budget=10**8)
+        for m in m_values:
+            cells[m].append(_benchmark_cell(h, big_t, eps, schemes[m], target, table))
     results = []
-    for m in sorted(set(int(m) for m in m_list)):
-        scheme = solve_order_condition(power_schedule(m), m)
-        cells = []
-        for n in n_values:
-            h = heisenberg_1d(n, periodic=periodic)
-            big_t = float(n)
-            target = exact_evolution(h, big_t).matrix
-            table = build_table(h, 2 * m + 3, budget=10**8)
-            hint = mu_m(table, m, j_cap=2 * m + 2).mu_m
-            r_hint = max(1, math.ceil(hint * big_t)) if hint > 0 else 1
-            r, error, evals = _minimal_r(h, big_t, eps, scheme, target, r_hint)
-            monotone = _monotone(evals)
-            if not monotone:
-                r2, error2, evals2 = _minimal_r(
-                    h, big_t, eps, scheme, target, min(r * 4, R_CAP)
-                )
-                if r2 < r:
-                    r, error = r2, error2
-                monotone = _monotone(evals2)
-            cells.append(
-                BenchmarkCell(
-                    n=n,
-                    m=m,
-                    r=r,
-                    queries=float(query_count(r, scheme)),
-                    queries_amplified=float(query_count(r, scheme, True)),
-                    error=error,
-                    monotone=monotone,
-                )
-            )
-        exponent, _ = _loglog_fit(n_values, [c.queries for c in cells])
+    for m in m_values:
+        exponent, _ = _loglog_fit(n_values, [c.queries for c in cells[m]])
         results.append(
             ScalingResult(
                 m=m,
                 n_values=tuple(n_values),
-                query_counts=tuple(c.queries for c in cells),
+                query_counts=tuple(c.queries for c in cells[m]),
                 fitted_exponent=exponent,
                 theory_exponent=4.0 / 3.0 + 2.0 / (3.0 * m),
-                cells=tuple(cells),
+                cells=tuple(cells[m]),
             )
         )
     return results
+
+
+def _benchmark_cell(
+    h: HamiltonianSum,
+    big_t: float,
+    eps: float,
+    scheme: MpfScheme,
+    target: np.ndarray,
+    table: CommutatorTable,
+) -> BenchmarkCell:
+    """One (n, m) cell on the chain's shared target and commutator table."""
+    m = scheme.half_order
+    hint = mu_m(table, m, j_cap=2 * m + 2).mu_m
+    r_hint = max(1, math.ceil(hint * big_t)) if hint > 0 else 1
+    r, error, evals = _minimal_r(h, big_t, eps, scheme, target, r_hint)
+    monotone = _monotone(evals)
+    if not monotone:
+        r2, error2, evals2 = _minimal_r(
+            h, big_t, eps, scheme, target, min(r * 4, R_CAP)
+        )
+        if r2 < r:
+            r, error = r2, error2
+        monotone = _monotone(evals2)
+    return BenchmarkCell(
+        n=h.n_qubits,
+        m=m,
+        r=r,
+        queries=float(query_count(r, scheme)),
+        queries_amplified=float(query_count(r, scheme, True)),
+        error=error,
+        monotone=monotone,
+    )
 
 
 CSV_HEADER = "n,m,r,queries,queries_amplified,error"

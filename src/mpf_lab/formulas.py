@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import HamiltonianSum, PauliTerm
-from .operators import DenseOperator, _expm_anti_hermitian
+from . import pauli
+from .hamiltonians import HamiltonianSum
+from .operators import DenseOperator
 
 __all__ = [
     "ProductFormulaSpec",
@@ -71,53 +72,33 @@ def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
 
 
 def _pauli_stage_data(h: HamiltonianSum, term_index: int):
-    """Column permutation and phase vector of the term's Pauli string.
-
-    For masks (x, z) the string acts as P|b> = i^y (-1)^(b.z) |b^x| with
-    y the number of Y letters, so right-multiplication by P is a column
-    gather times a diagonal phase: (M @ P)[:, b] = phi_b * M[:, b^x].
-    """
+    """(perm, phases) of the term's Pauli string (pauli.string_action),
+    cached per model: right-multiplication by the string is the column
+    gather (M @ P)[:, b] = phases[b] * M[:, perm[b]]."""
     key = ("stage", term_index)
     if key not in h._dense_cache:
-        term = h.terms[term_index]
-        x, z = term.masks()
-        cols = np.arange(h.dim)
-        signs = np.ones(h.dim, dtype=np.complex128)
-        bits = cols & z
-        parity = np.zeros(h.dim, dtype=np.int64)
-        for shift in range(h.n_qubits):
-            parity ^= (bits >> shift) & 1
-        signs[parity == 1] = -1.0
-        y_count = bin(x & z).count("1")
-        phases = (1j**y_count) * signs
-        h._dense_cache[key] = (cols ^ x, phases)
+        x, z = h.terms[term_index].masks()
+        h._dense_cache[key] = pauli.string_action(x, z, h.n_qubits)
     return h._dense_cache[key]
 
 
-def _apply_stage(out: np.ndarray, h: HamiltonianSum, g: int, scaled_t: float,
-                 cache: dict) -> np.ndarray:
-    """out @ exp(-i * scaled_t * H_g), exploiting Pauli structure."""
-    term = h.terms[g]
-    if isinstance(term, PauliTerm):
-        theta = scaled_t * term.coefficient
-        if theta == 0.0:
-            return out
-        perm, phases = _pauli_stage_data(h, g)
-        return math.cos(theta) * out - (1j * math.sin(theta)) * (
-            out[:, perm] * phases
-        )
-    key = (g, scaled_t)
-    if key not in cache:
-        cache[key] = _expm_anti_hermitian(-1j * scaled_t * h.term_matrices()[g])
-    return out @ cache[key]
+def _apply_stage(
+    out: np.ndarray, h: HamiltonianSum, g: int, scaled_t: float
+) -> np.ndarray:
+    """out @ exp(-i * scaled_t * H_g) for the Pauli term H_g = c P:
+    cos(theta) out - i sin(theta) out @ P with theta = scaled_t * c."""
+    theta = scaled_t * h.terms[g].coefficient
+    if theta == 0.0:
+        return out
+    perm, phases = _pauli_stage_data(h, g)
+    return math.cos(theta) * out - (1j * math.sin(theta)) * (out[:, perm] * phases)
 
 
 def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.ndarray:
     """Dense product over the stage list, left to right."""
-    cache: dict = {}
     out = np.eye(h.dim, dtype=np.complex128)
     for g, c in spec.stages:
-        out = _apply_stage(out, h, g, c * t, cache)
+        out = _apply_stage(out, h, g, c * t)
     return out
 
 

@@ -1,9 +1,9 @@
 """Benchmark Hamiltonian families as explicit ordered term lists.
 
 Builders produce sums of single Pauli-string terms with deterministic term
-order (product-formula output depends on it). Terms may also be arbitrary
-Hermitian matrices so the expansion machinery can be exercised on generic
-generators.
+order (product-formula output depends on it). Every term is a PauliTerm:
+the stage kernels, the commutator DP and the model file format all read
+its (x, z) masks and coefficient.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ class HamiltonianSum:
     def __post_init__(self) -> None:
         if len(self.terms) < 1:
             raise ValueError("need at least one term")
+        for term in self.terms:
+            if not isinstance(term, PauliTerm):
+                raise TypeError(f"terms must be PauliTerm, got {type(term).__name__}")
         if self.grouping is not None and len(self.grouping) != len(self.terms):
             raise ValueError("grouping length must match term count")
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -107,16 +110,10 @@ class HamiltonianSum:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def is_pauli(self) -> bool:
-        return all(isinstance(t, PauliTerm) for t in self.terms)
-
     def term_matrices(self) -> list[np.ndarray]:
         """Dense matrices of the terms, built once and cached."""
         if "terms" not in self._dense_cache:
-            mats = []
-            for t in self.terms:
-                mats.append(t.dense() if isinstance(t, PauliTerm) else t.matrix)
-            self._dense_cache["terms"] = mats
+            self._dense_cache["terms"] = [t.dense() for t in self.terms]
         return self._dense_cache["terms"]
 
     def dense(self) -> np.ndarray:
@@ -192,15 +189,9 @@ def power_law_lattice(n: int, d: int, alpha: float, seed: int = 0) -> Hamiltonia
     return HamiltonianSum(n, tuple(terms), tuple(labels))
 
 
-def _term_norm(term) -> float:
-    if isinstance(term, PauliTerm):
-        return term.norm
-    return float(np.linalg.svd(term.matrix, compute_uv=False)[0])
-
-
 def one_norm(h: HamiltonianSum) -> float:
     """Sum of per-term spectral norms."""
-    return float(sum(_term_norm(t) for t in h.terms))
+    return float(sum(t.norm for t in h.terms))
 
 
 def induced_one_norm(h: HamiltonianSum) -> float:
@@ -217,9 +208,8 @@ def induced_one_norm(h: HamiltonianSum) -> float:
         raise NoGroupingError("induced norm needs grouping labels")
     per_site: dict = {}
     for label, term in zip(h.grouping, h.terms):
-        norm = _term_norm(term)
         for value in set(label):
-            per_site[value] = per_site.get(value, 0.0) + norm
+            per_site[value] = per_site.get(value, 0.0) + term.norm
     return float(max(per_site.values()))
 
 

@@ -32,15 +32,25 @@ def masks_from_sites(paulis: dict[int, str]) -> tuple[int, int]:
     return x, z
 
 
+def string_action(x: int, z: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    '''(perm, phases) of the Hermitian Pauli string with masks (x, z):
+    P|b> = phases[b] |perm[b]> with perm[b] = b ^ x and phases[b] =
+    i^y (-1)^(b.z), y the number of Y letters (sites with both bits set).
+
+    So the dense matrix is P[perm, b] = phases, and right multiplication
+    is a column gather: (M @ P)[:, b] = phases[b] * M[:, perm[b]].'''
+    cols = np.arange(1 << n_qubits)
+    signs = np.ones(cols.size, dtype=np.complex128)
+    signs[np.bitwise_count(cols & z) & 1 == 1] = -1.0
+    return cols ^ x, (1j ** bin(x & z).count("1")) * signs
+
+
 def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
     '''Dense matrix of X^x Z^z phase-corrected to the Hermitian Pauli
     string (Y where both bits are set).'''
-    out = np.array([[1.0 + 0j]])
-    for site in range(n_qubits - 1, -1, -1):
-        bx = (x >> site) & 1
-        bz = (z >> site) & 1
-        letter = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(bx, bz)]
-        out = np.kron(out, PAULI_MATRICES[letter])
+    perm, phases = string_action(x, z, n_qubits)
+    out = np.zeros((perm.size, perm.size), dtype=np.complex128)
+    out[perm, np.arange(perm.size)] = phases
     return out
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpf_lab import pauli
+from mpf_lab import bch, pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table, table_to_json
 from mpf_lab.hamiltonians import (
@@ -234,6 +234,21 @@ class TestBchVerify:
                          "--k-max", "5", "--s", "0.05")
         assert code == 0
         assert depths == [5]
+
+    @pytest.mark.parametrize("k_max, deepest", [(5, 5), (6, 5), (7, 7)])
+    def test_one_series_per_run(self, run, monkeypatch, k_max, deepest):
+        depths = []
+        series = bch._log_product_terms
+
+        def counted(letters, big_k):
+            depths.append(big_k)
+            return series(letters, big_k)
+
+        monkeypatch.setattr(bch, "_log_product_terms", counted)
+        code, _, _ = run("bch-verify", "--model", "heisenberg", "--n", "3",
+                         "--k-max", str(k_max), "--s", "0.05")
+        assert code == 0
+        assert depths == [deepest]
 
     def test_premise_exit(self, run):
         code, _, err = run("bch-verify", "--model", "heisenberg", "--n", "3", "--s", "0.5")

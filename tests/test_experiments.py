@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mpf_lab.experiments as experiments
 from mpf_lab.commutators import build_table, convergence_radius
@@ -185,16 +187,19 @@ class TestBenchmark:
                 assert cell.monotone
 
     def test_r_is_minimal(self, small_run):
-        cell = small_run[0].cells[0]
-        h = heisenberg_1d(cell.n, periodic=True)
-        target = exact_evolution(h, float(cell.n)).matrix
-        scheme = _scheme(cell.m)
+        for res in small_run:
+            for cell in res.cells:
+                h = heisenberg_1d(cell.n, periodic=True)
+                target = exact_evolution(h, float(cell.n)).matrix
+                scheme = _scheme(cell.m)
 
-        def err(r):
-            return spectral_norm(mpf_evolve(h, float(cell.n), r, scheme).matrix - target)
+                def err(r):
+                    return spectral_norm(
+                        mpf_evolve(h, float(cell.n), r, scheme).matrix - target
+                    )
 
-        assert err(cell.r) <= 0.05
-        assert cell.r == 1 or err(cell.r - 1) > 0.05
+                assert err(cell.r) <= 0.05
+                assert cell.r == 1 or err(cell.r - 1) > 0.05
 
     def test_query_accounting(self, small_run):
         for res in small_run:
@@ -227,11 +232,151 @@ class TestBenchmark:
         with pytest.raises(InfeasibleError):
             heisenberg_benchmark((3, 4, 5), (1,), eps=1e-6)
 
+    def test_bench_config_r_values_and_evaluation_count(self, monkeypatch):
+        calls = collections.Counter()
+        powered = experiments._powered_error
+
+        def counted(h, big_t, r, scheme, target):
+            calls[h.n_qubits, scheme.half_order] += 1
+            return powered(h, big_t, r, scheme, target)
+
+        monkeypatch.setattr(experiments, "_powered_error", counted)
+        results = heisenberg_benchmark((4, 6, 8), (1, 2, 3), eps=1e-3)
+        assert [[c.r for c in res.cells] for res in results] == [
+            [508, 1074, 2053],
+            [38, 64, 103],
+            [14, 21, 32],
+        ]
+        assert all(c.monotone for res in results for c in res.cells)
+        assert len(calls) == 9 and max(calls.values()) <= 5
+
+    def test_non_monotone_cell_is_retried(self, monkeypatch):
+        eps = 0.01
+
+        def bumpy(h, big_t, r, scheme, target):
+            # the error grows with r up to the drop at r = 4000
+            return 0.1 * eps if r >= 4000 else 10.0 * eps * (1.0 + r / 1000.0)
+
+        searches = []
+        search = experiments._minimal_r
+
+        def recorded(h, big_t, eps_, scheme, target, r_hint):
+            out = search(h, big_t, eps_, scheme, target, r_hint)
+            searches.append((h.n_qubits, r_hint, out))
+            return out
+
+        monkeypatch.setattr(experiments, "_powered_error", bumpy)
+        monkeypatch.setattr(experiments, "_minimal_r", recorded)
+        cells = heisenberg_benchmark((3, 4, 5), (1,), eps=eps)[0].cells
+        retried = 0
+        for cell in cells:
+            runs = [s for s in searches if s[0] == cell.n]
+            first_r, _, first_evals = runs[0][2]
+            if experiments._monotone(first_evals):
+                assert len(runs) == 1 and cell.monotone
+                continue
+            retried += 1
+            assert len(runs) == 2
+            _, hint, (r2, _, evals2) = runs[1]
+            assert hint == min(4 * first_r, experiments.R_CAP)
+            assert cell.r == min(first_r, r2)
+            assert cell.monotone == experiments._monotone(evals2)
+            assert cell.r == 4000 and cell.error == 0.1 * eps
+        assert retried > 0
+
     def test_scaling_result_validation(self):
         with pytest.raises(ValueError):
             ScalingResult(1, (3, 4), (1.0, 2.0), 2.0, 2.0, ())
         with pytest.raises(ValueError):
             ScalingResult(1, (3, 4, 5), (1.0, 2.0, 3.0), float("nan"), 2.0, ())
+
+
+def _bisection(err, eps, r_cap):
+    lo, hi = 0, r_cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if err(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _Profile:
+    """err(r) = min(2, C r^-p), held at a pre-asymptotic plateau below r1,
+    optionally times a multiplicative wiggle; counts evaluations."""
+
+    def __init__(self, c, p, r1=1, plateau=0.0, wiggle=0.0):
+        self.c, self.p, self.r1, self.plateau, self.wiggle = c, p, r1, plateau, wiggle
+        self.calls = 0
+
+    def __call__(self, r):
+        self.calls += 1
+        # a logarithmic search needs far fewer; fail fast instead of crawling
+        assert self.calls <= 100, "too many evaluations"
+        e = self.c * r ** -self.p
+        if r < self.r1:
+            e = max(e, self.plateau)
+        return min(2.0, e) * (1.0 + self.wiggle * math.sin(7.3 * r))
+
+
+_profiles = st.builds(
+    _Profile,
+    c=st.floats(1e-2, 1e8),
+    p=st.floats(1.0, 8.0),
+    r1=st.integers(1, 5000),
+    plateau=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+)
+_eps = st.floats(1e-7, 0.5)
+
+
+class TestSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(_profiles, _eps, st.integers(1, 10**6), st.sampled_from([2, 4, 6]))
+    def test_matches_bisection_on_monotone_profiles(self, err, eps, hint, order):
+        if err(experiments.R_CAP) > eps:
+            with pytest.raises(InfeasibleError):
+                experiments._search_minimal_r(err, eps, hint, order)
+            return
+        expected = _bisection(err, eps, experiments.R_CAP)
+        err.calls = 0
+        r, error, evals = experiments._search_minimal_r(err, eps, hint, order)
+        assert err.calls == len(evals) <= 4 * experiments.R_CAP.bit_length()
+        assert r == expected
+        assert error == evals[r] == err(r)
+        assert r == 1 or r - 1 in evals
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _profiles, st.floats(0.05, 0.9), _eps, st.integers(1, 10**6),
+        st.sampled_from([2, 4, 6]),
+    )
+    def test_certified_on_non_monotone_profiles(self, err, wiggle, eps, hint, order):
+        err.wiggle = wiggle
+        try:
+            r, error, evals = experiments._search_minimal_r(err, eps, hint, order)
+        except InfeasibleError:
+            assert err(experiments.R_CAP) > eps
+            return
+        assert error == evals[r] <= eps
+        assert r == 1 or evals[r - 1] > eps
+        assert len(evals) <= 4 * experiments.R_CAP.bit_length()
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "R_CAP", 50)
+        with pytest.raises(InfeasibleError):
+            experiments._search_minimal_r(_Profile(1e4, 2.0), 1.0, 3, 2)
+        r, _, evals = experiments._search_minimal_r(_Profile(2500.0, 2.0), 1.0, 3, 2)
+        assert r == 50 and 49 in evals
+        r, _, _ = experiments._search_minimal_r(_Profile(2500.0, 2.0), 1.0, 10**6, 2)
+        assert r == 50
+
+    @pytest.mark.parametrize("hint", [101, 400, 10**5, 10**7])
+    def test_hint_above_the_crossing(self, hint):
+        err = _Profile(1e4, 2.0)  # crossing at r = 100 for eps = 1
+        r, _, evals = experiments._search_minimal_r(err, 1.0, hint, 2)
+        assert r == 100 and 99 in evals
+        assert min(hint, experiments.R_CAP) in evals
 
 
 class TestReport:

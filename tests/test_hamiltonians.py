@@ -15,6 +15,7 @@ from mpf_lab.hamiltonians import (
     power_law_lattice,
     to_model_json,
 )
+from mpf_lab.operators import DenseOperator
 
 
 def test_heisenberg_n3_periodic_counts_and_norm():
@@ -146,3 +147,6 @@ def test_term_validation():
         HamiltonianSum(2, ())
     with pytest.raises(ValueError):
         HamiltonianSum(2, (PauliTerm(2, 1.0, {0: "X"}),), grouping=((0,), (1,)))
+    # a dense Hermitian matrix is not a term: every kernel reads Pauli masks
+    with pytest.raises(TypeError):
+        HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "X"}), DenseOperator(np.eye(2))))
