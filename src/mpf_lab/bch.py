@@ -37,12 +37,8 @@ __all__ = [
     "BchTermReport",
     "ConvergenceRiskError",
     "DepthCapError",
-    "ErrorBudget",
-    "Permutation",
-    "bch_two_term_check",
     "descent_count",
     "dyson_expansion",
-    "e_j_operator",
     "effective_generator",
     "phi_k",
     "symmetric_bch_term",
@@ -62,22 +58,6 @@ class ConvergenceRiskError(ValueError):
 
 
 @dataclass(frozen=True)
-class Permutation:
-    '''One-line permutation of {1..k}.'''
-
-    images: tuple
-
-    def __post_init__(self) -> None:
-        k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{k}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-
-@dataclass(frozen=True)
 class BchTermReport:
     '''One homogeneous term of the symmetric-word expansion with its bound.'''
 
@@ -89,21 +69,10 @@ class BchTermReport:
     structurally_zero: bool = False
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    '''Evaluated right-hand sides of the truncated error bounds.'''
-
-    e_tilde_bounds: dict
-    f_tilde_bound: float
-    thm_bound: float
-    truncation_depth: int
-    tail_clear: bool
-
-
 def descent_count(sigma) -> int:
-    '''Number of positions i with sigma(i+1) < sigma(i).'''
-    images = sigma.images if isinstance(sigma, Permutation) else tuple(sigma)
-    return sum(1 for a, b in zip(images, images[1:]) if b < a)
+    '''Number of positions i with sigma(i+1) < sigma(i), sigma in one-line
+    notation.'''
+    return sum(1 for a, b in zip(sigma, sigma[1:]) if b < a)
 
 
 def _permutation_weights(k: int) -> list:
@@ -178,44 +147,6 @@ def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
     return terms
 
 
-def _log_unitary(u: np.ndarray) -> np.ndarray:
-    '''Principal-branch logarithm of a unitary via eigendecomposition,
-    symmetrized back to exactly anti-Hermitian.'''
-    w, v = np.linalg.eig(u)
-    if np.max(np.abs(np.abs(w) - 1.0)) > 1e-8:
-        raise ArithmeticError("input is not unitary to working precision")
-    phases = np.angle(w)
-    if np.max(np.abs(phases)) > math.pi - 1e-6:
-        raise ConvergenceRiskError("eigenphase too close to the branch cut")
-    log = (v * (1j * phases)) @ np.linalg.inv(v)
-    log = 0.5 * (log - log.conj().T)
-    defect = spectral_norm(_expm_anti_hermitian(log) - u)
-    if defect > 1e-9:
-        raise ArithmeticError(f"log residual {defect:.3e} too large")
-    return log
-
-
-def bch_two_term_check(x: DenseOperator, y: DenseOperator, k_max: int) -> float:
-    '''|| log(e^X e^Y) - truncated expansion || for anti-Hermitian X, Y.
-
-    Requires ||X|| + ||Y|| <= 1/4 so both the series and the principal
-    branch are safe; the residual decays geometrically in k_max.'''
-    for op in (x, y):
-        m = op.matrix
-        if np.max(np.abs(m + m.conj().T)) > 1e-10:
-            raise NotAntiHermitianError("inputs must be anti-Hermitian")
-    if spectral_norm(x) + spectral_norm(y) > 0.25:
-        raise ConvergenceRiskError("norm premise ||X|| + ||Y|| <= 1/4 violated")
-    if k_max > PHI_DEPTH_CAP:
-        raise DepthCapError(f"k_max = {k_max} exceeds {PHI_DEPTH_CAP}")
-    letters = [np.asarray(x.matrix), np.asarray(y.matrix)]
-    z = _log_product_terms(letters, k_max).sum(axis=0)
-    reference = _log_unitary(
-        _expm_anti_hermitian(letters[0]) @ _expm_anti_hermitian(letters[1])
-    )
-    return float(spectral_norm(z - reference))
-
-
 def _symmetric_word(h: HamiltonianSum, s: float) -> list:
     '''Letters of the order-2 stage sequence, scaled by -i s; mirror stages
     share one array.'''
@@ -271,7 +202,7 @@ def symmetric_bch_terms(
     z = -1j * s * h.dense()
     for k in range(3, big_k + 1, 2):
         z = z + terms[k]
-    return reports, DenseOperator(z, hint="anti_hermitian")
+    return reports, DenseOperator(z)
 
 
 def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
@@ -284,14 +215,6 @@ def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> DenseOperato
     '''Z_K = -i s H + sum of the odd expansion terms up to depth K;
     exp(Z_K) tracks the splitting formula to order K+2.'''
     return symmetric_bch_terms(h, [], s, big_k)[1]
-
-
-def e_j_operator(h: HamiltonianSum, j: int) -> DenseOperator:
-    '''Coefficient operator of s^j in the effective-generator series
-    (the degree-j term evaluated at s = 1).'''
-    if j % 2 == 0 or j < 3:
-        raise ValueError("defined for odd j >= 3")
-    return symmetric_bch_term(h, j, 1.0).phi_value
 
 
 def _gauss_nodes(order: int):

@@ -70,7 +70,7 @@ _SCHEMAS = {
         "j_cap": None,
         "variant": "second_order",
         "budget": commutators.DEFAULT_BUDGET,
-        "method": "auto",
+        "method": "pauli",
         "allow_capped": False,
     },
     "convergence": {
@@ -240,8 +240,6 @@ def cmd_scheme(config: RunConfig) -> str:
     powers = mpf.power_schedule(m, p["strategy"], base)
     scheme = mpf.solve_order_condition(powers, m, base)
     body = json.loads(mpf.scheme_to_json(scheme))
-    body["a_norm"] = scheme.a_norm
-    body["k_norm"] = scheme.k_norm
     body["residual"] = scheme.residual()
     return _dump(body)
 
@@ -254,9 +252,9 @@ def cmd_commutators(config: RunConfig) -> str:
     j_cap = p["j_cap"] if p["j_cap"] is not None else 2 * m + 8
     j_cap = int(j_cap)
     h = _build_model(config)
-    table = commutators.build_table(
-        h, j_cap + 1, budget=int(p["budget"]), method=p["method"]
-    )
+    # "auto" is kept as a spelling of the Pauli DP, the only fast path
+    method = "pauli" if p["method"] == "auto" else p["method"]
+    table = commutators.build_table(h, j_cap + 1, budget=int(p["budget"]), method=method)
     if table.mode == "capped" and not p["allow_capped"]:
         raise commutators.BudgetExceededError(
             "table is capped; pass --allow-capped to accept the envelope"
@@ -346,7 +344,7 @@ def cmd_benchmark(config: RunConfig) -> str:
             "results": [asdict(r) for r in results],
         }
         return _dump(payload)
-    return experiments.report_emit(results, "csv")
+    return experiments.report_emit(results)
 
 
 def cmd_bch_verify(config: RunConfig) -> str:

@@ -14,8 +14,9 @@ strings (commutators of Pauli strings are again single strings, so norms
 add with no cancellation), run once per table; a dense tuple enumeration
 is kept as the oracle path. Depths past the work budget are capped at a
 product-of-norms upper bound.
-Composition sums reuse suffix subtotals through the DP recurrence instead
-of enumerating compositions.
+Composition sums, largest composition products and the compositions
+attaining them come from one DP pass over (parts, j, last part) instead of
+enumerating compositions.
 """
 
 from __future__ import annotations
@@ -25,27 +26,23 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import pauli
 from .hamiltonians import HamiltonianSum, one_norm
 from .operators import spectral_norm
 
 __all__ = [
     "AlphaEstimate",
-    "BadRegimeError",
     "BudgetExceededError",
     "CommutatorTable",
     "MissingAlphaError",
     "MuReport",
     "PartitionBlowupError",
     "alpha_comm",
-    "analytic_mu",
     "build_table",
     "composition_sum",
     "convergence_radius",
     "lambda_jl",
     "mu_m",
     "mu_upper_bound",
-    "table_from_json",
     "table_to_json",
 ]
 
@@ -64,10 +61,6 @@ class MissingAlphaError(KeyError):
 
 class PartitionBlowupError(ValueError):
     """Composition index j beyond the supported range."""
-
-
-class BadRegimeError(ValueError):
-    """Analytic scaling requested outside its validity regime."""
 
 
 @dataclass(frozen=True)
@@ -173,37 +166,15 @@ def _slice_js(base: int, m: int, j_cap: int) -> range:
 # --- alpha ---------------------------------------------------------------
 
 
-def _alpha_pauli(h: HamiltonianSum, depth: int, budget: int) -> list[float]:
-    """Exact alpha[1..k] from one DP run, k <= depth as far as budget reaches.
-
-    Cached per budget: a run the budget stopped short answers every deeper
-    request at that budget too.
-    """
-    cache = h._dense_cache.setdefault("alpha_pauli", {})
-    alphas, stopped = cache.get(budget, ([], False))
-    if len(alphas) < depth and not stopped:
-        strings = [t.masks() for t in h.terms]
-        coeffs = [t.coefficient for t in h.terms]
-        alphas = pauli.commutator_weight_table(
-            strings, coeffs, depth, h.n_qubits, budget
-        )
-        cache[budget] = (alphas, len(alphas) < depth)
-    return alphas[:depth]
-
-
-def _alpha_dense(h: HamiltonianSum, j: int) -> float:
-    cache = h._dense_cache.setdefault("alpha_dense", {})
-    if j not in cache:
-        mats = h.term_matrices()
-        total = 0.0
-        for tup in itertools.product(range(h.gamma), repeat=j):
-            acc = mats[tup[-1]]
-            for g in tup[-2::-1]:
-                m = mats[g]
-                acc = m @ acc - acc @ m
-            total += spectral_norm(acc)
-        cache[j] = float(total)
-    return cache[j]
+def _alpha_dense(mats: list, j: int) -> float:
+    total = 0.0
+    for tup in itertools.product(range(len(mats)), repeat=j):
+        acc = mats[tup[-1]]
+        for g in tup[-2::-1]:
+            m = mats[g]
+            acc = m @ acc - acc @ m
+        total += spectral_norm(acc)
+    return float(total)
 
 
 def _estimates(
@@ -217,15 +188,16 @@ def _estimates(
     """
     if depth < 1:
         raise ValueError("depth j must be >= 1")
-    if method not in ("auto", "pauli", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "dense":
-        exact = _alpha_pauli(h, depth, budget)
-    else:
+    if method == "pauli":
+        exact = h.commutator_weights(depth, budget)
+    elif method == "dense":
         reach = 1
         while reach < depth and h.gamma ** (reach + 1) <= budget:
             reach += 1
-        exact = [_alpha_dense(h, j) for j in range(1, reach + 1)]
+        mats = h.term_matrices()
+        exact = [_alpha_dense(mats, j) for j in range(1, reach + 1)]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     out = [AlphaEstimate(j, v, "exact") for j, v in enumerate(exact, start=1)]
     growth = 2.0 * one_norm(h)
     for j in range(len(exact) + 1, depth + 1):
@@ -238,13 +210,13 @@ def alpha_comm(
     h: HamiltonianSum,
     j: int,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
+    method: str = "pauli",
     strict: bool = False,
 ) -> AlphaEstimate:
     """Sum of depth-j nested-commutator norms over all Gamma^j tuples.
 
-    method "auto" and "pauli" run the Pauli string DP (every term is a
-    Pauli string); "dense" runs the tuple enumeration it is checked against.
+    method "pauli" runs the Pauli string DP (every term is a Pauli string);
+    "dense" runs the tuple enumeration it is checked against.
     `budget` bounds the work: DP work units (Gamma * |frontier| per
     depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
     past the budget is returned flagged "capped", as the upper bound
@@ -261,11 +233,11 @@ def build_table(
     h: HamiltonianSum,
     depth: int,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
+    method: str = "pauli",
 ) -> CommutatorTable:
-    """alpha table for depths 1..depth from one DP run (the per-model cache
-    that alpha_comm reads); mode "capped" if any entry is the upper bound
-    past the budget."""
+    """alpha table for depths 1..depth from one DP run (kept by the model,
+    see HamiltonianSum.commutator_weights, and read by alpha_comm too);
+    mode "capped" if any entry is the upper bound past the budget."""
     estimates = _estimates(h, depth, budget, method)
     mode = "exact" if all(e.mode == "exact" for e in estimates) else "capped"
     return CommutatorTable(
@@ -286,69 +258,56 @@ def table_to_json(table: CommutatorTable) -> str:
     return json.dumps(body, indent=2, sort_keys=True)
 
 
-def table_from_json(text: str) -> CommutatorTable:
-    body = json.loads(text)
-    return CommutatorTable(
-        gamma=int(body["gamma"]),
-        mode=str(body["mode"]),
-        j_cap=int(body["j_cap"]),
-        alpha={int(j): float(v) for j, v in body["alpha"].items()},
-    )
-
-
 # --- lambda and mu -------------------------------------------------------
 
 
-def _composition_sums(table: CommutatorTable, j_max: int, l_max: int, base: int):
-    """f[l][j] = sum over compositions of j into exactly l admissible parts
-    of prod alpha[part+1]."""
+def _composition_tables(table: CommutatorTable, j_max: int, l_max: int, base: int):
+    """One pass over the compositions of j <= j_max into exactly l <= l_max
+    admissible parts, with products prod alpha[part+1]: returns
+    (sums, best, choice) where sums[l][j] is the sum of the products,
+    best[l][j] the largest product (-inf when there is no composition) and
+    choice[l][j] the last part of the first composition attaining it, parts
+    tried in ascending order (ties resolve toward smaller leading parts)."""
     alpha = table.alpha
-    f = [[0.0] * (j_max + 1) for _ in range(l_max + 1)]
-    f[0][0] = 1.0
+    sums = [[0.0] * (j_max + 1) for _ in range(l_max + 1)]
+    best = [[-math.inf] * (j_max + 1) for _ in range(l_max + 1)]
+    choice = [[0] * (j_max + 1) for _ in range(l_max + 1)]
+    sums[0][0] = best[0][0] = 1.0
     parts = list(_parts(base, j_max))
     for l in range(1, l_max + 1):
-        row = f[l]
-        prev = f[l - 1]
         for j in range(1, j_max + 1):
             s = 0.0
             for p in parts:
                 if p > j:
                     break
-                s += alpha[p + 1] * prev[j - p]
-            row[j] = s
-    return f
+                a, prev = alpha[p + 1], best[l - 1][j - p]
+                s += a * sums[l - 1][j - p]
+                if prev > -math.inf and a * prev > best[l][j]:
+                    best[l][j], choice[l][j] = a * prev, p
+            sums[l][j] = s
+    return sums, best, choice
 
-def _best_composition(table: CommutatorTable, j: int, l: int, base: int):
-    """(max product, attaining composition) over compositions of j into l
-    admissible parts; ties resolved toward smaller leading parts."""
-    alpha = table.alpha
-    neg = -math.inf
-    best = [[neg] * (j + 1) for _ in range(l + 1)]
-    choice = [[0] * (j + 1) for _ in range(l + 1)]
-    best[0][0] = 1.0
-    parts = list(_parts(base, j))
-    for lev in range(1, l + 1):
-        for tot in range(1, j + 1):
-            for p in parts:
-                if p > tot:
-                    break
-                prev = best[lev - 1][tot - p]
-                if prev == neg:
-                    continue
-                cand = alpha[p + 1] * prev
-                if cand > best[lev][tot]:
-                    best[lev][tot] = cand
-                    choice[lev][tot] = p
-    if best[l][j] == neg:
-        return 0.0, ()
+
+def _best_composition(best: list, choice: list, j: int, l: int) -> tuple:
+    """Parts of the composition attaining best[l][j], sorted descending;
+    empty when there is none."""
+    if best[l][j] == -math.inf:
+        return ()
     comp = []
-    lev, tot = l, j
-    while lev > 0:
-        p = choice[lev][tot]
-        comp.append(p)
-        tot -= p
-        lev -= 1
-    return best[l][j], tuple(sorted(comp, reverse=True))
+    while l > 0:
+        comp.append(choice[l][j])
+        j -= choice[l][j]
+        l -= 1
+    return tuple(sorted(comp, reverse=True))
+
+
+def _upper(best: list, base: int, m: int, j_cap: int) -> float:
+    """2 * sup over the scanned (j, l) of best[l][j]^(1/(j+l))."""
+    top = 0.0
+    for j in _slice_js(base, m, j_cap):
+        for l in range(1, m + 1):
+            top = max(top, max(best[l][j], 0.0) ** (1.0 / (j + l)))
+    return 2.0 * top
 
 
 def composition_sum(
@@ -359,7 +318,7 @@ def composition_sum(
     base = _variant_base(variant)
     _check_jl(j, l, base)
     table.require(j + 1)
-    return _composition_sums(table, j, l, base)[l][j]
+    return _composition_tables(table, j, l, base)[0][l][j]
 
 
 def _check_jl(j: int, l: int, base: int) -> None:
@@ -381,7 +340,7 @@ def lambda_jl(
     base = _variant_base(variant)
     _check_jl(j, l, base)
     table.require(j + 1)
-    total = _composition_sums(table, j, l, base)[l][j]
+    total = _composition_tables(table, j, l, base)[0][l][j]
     return float(total ** (1.0 / (j + l)))
 
 
@@ -407,7 +366,7 @@ def mu_m(
     if j_cap > PARTITION_J_CAP:
         raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
     table.require(j_cap + 1)
-    sums = _composition_sums(table, j_cap, m, base)
+    sums, best_products, choice = _composition_tables(table, j_cap, m, base)
     best = -1.0
     arg = (0, 0)
     improved = []
@@ -425,12 +384,12 @@ def mu_m(
                 arg = (j, l)
         improved.append(moved)
     tail_clear = not any(improved[-2:])
-    _, partition = _best_composition(table, arg[0], arg[1], base)
+    partition = _best_composition(best_products, choice, arg[0], arg[1])
     return MuReport(
         m=m,
         mu_m=float(best),
         argmax=(arg[0], arg[1], partition),
-        mu_upper=mu_upper_bound(table, m, j_cap, variant),
+        mu_upper=_upper(best_products, base, m, j_cap),
         variant=_variant_name(base),
         tail_clear=tail_clear,
         j_cap=j_cap,
@@ -449,12 +408,7 @@ def mu_upper_bound(
     if j_cap > PARTITION_J_CAP:
         raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
     table.require(j_cap + 1)
-    best = 0.0
-    for j in _slice_js(base, m, j_cap):
-        for l in range(1, m + 1):
-            prod, _ = _best_composition(table, j, l, base)
-            best = max(best, prod ** (1.0 / (j + l)))
-    return 2.0 * best
+    return _upper(_composition_tables(table, j_cap, m, base)[1], base, m, j_cap)
 
 
 def convergence_radius(table: CommutatorTable) -> float:
@@ -483,49 +437,3 @@ def convergence_radius(table: CommutatorTable) -> float:
                 radius = aitken
     return float(radius)
 
-
-def analytic_mu(model: str, **params):
-    """Closed-form asymptotic mu shapes with all constants set to one.
-
-    Returns (expression, value). For "electronic_structure" and "k_local"
-    the value is the mu estimate; for "power_law" it is the gate-count
-    exponent of n for the requested regime.
-    """
-    if model == "electronic_structure":
-        n = int(params["n"])
-        if n < 1:
-            raise BadRegimeError("n must be >= 1")
-        return "n", float(n)
-    if model == "k_local":
-        induced = float(params["induced"])
-        total = float(params["one_norm"])
-        p = int(params.get("p", 2))
-        if induced <= 0 or total <= 0:
-            raise BadRegimeError("norms must be positive")
-        if p < 1:
-            raise BadRegimeError("base order p must be >= 1")
-        value = induced ** (p / (p + 1.0)) * total ** (1.0 / (p + 1.0))
-        expr = f"induced^({p}/{p + 1}) * one_norm^(1/{p + 1})"
-        return expr, float(value)
-    if model == "power_law":
-        d = int(params["d"])
-        alpha = float(params["alpha"])
-        regime = params["regime"]
-        if d < 1 or alpha < 0:
-            raise BadRegimeError("need d >= 1 and alpha >= 0")
-        if regime == "alpha_lt_d":
-            if not alpha < d:
-                raise BadRegimeError("regime alpha_lt_d needs alpha < d")
-            value = 10.0 / 3.0 - alpha / d
-            return "n^(10/3 - alpha/d) T", value
-        if regime == "alpha_ge_d":
-            if not alpha >= d:
-                raise BadRegimeError("regime alpha_ge_d needs alpha >= d")
-            return "n^(7/3) T", 7.0 / 3.0
-        if regime == "alpha_gt_2d":
-            if not alpha > 2 * d:
-                raise BadRegimeError("regime alpha_gt_2d needs alpha > 2d")
-            value = 4.0 / 3.0 + d / (alpha - d)
-            return "n^(4/3 + d/(alpha - d)) T", value
-        raise BadRegimeError(f"unknown regime {regime!r}")
-    raise ValueError(f"unknown model {model!r}")

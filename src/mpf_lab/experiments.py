@@ -11,13 +11,11 @@ at the cap.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import ErrorBudget
 from .commutators import (
     CommutatorTable,
     build_table,
@@ -27,13 +25,21 @@ from .commutators import (
 )
 from .formulas import suzuki_u2p, trotter_u1, trotter_u2
 from .hamiltonians import HamiltonianSum, heisenberg_1d
-from .mpf import MpfScheme, mpf_operator, power_schedule, query_count, solve_order_condition
+from .mpf import (
+    MpfScheme,
+    mpf_evolve,
+    mpf_operator,
+    power_schedule,
+    query_count,
+    solve_order_condition,
+)
 from .operators import DenseOperator, spectral_norm
 
 __all__ = [
     "BenchmarkCell",
     "ConvergenceStudy",
     "DegenerateGridError",
+    "ErrorBudget",
     "InfeasibleError",
     "PremiseViolatedError",
     "ScalingResult",
@@ -77,6 +83,17 @@ class ConvergenceStudy:
 
 
 @dataclass(frozen=True)
+class ErrorBudget:
+    """Evaluated right-hand sides of the truncated error bounds."""
+
+    e_tilde_bounds: dict
+    f_tilde_bound: float
+    thm_bound: float
+    truncation_depth: int
+    tail_clear: bool
+
+
+@dataclass(frozen=True)
 class BenchmarkCell:
     """One (n, m) benchmark measurement."""
 
@@ -108,13 +125,10 @@ class ScalingResult:
 
 
 def exact_evolution(h: HamiltonianSum, t: float) -> DenseOperator:
-    """exp(-iHt) by Hermitian eigendecomposition, cached per Hamiltonian."""
-    key = ("exact_eig",)
-    if key not in h._dense_cache:
-        h._dense_cache[key] = np.linalg.eigh(h.dense())
-    w, v = h._dense_cache[key]
-    mat = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return DenseOperator(mat, hint="unitary")
+    """exp(-iHt) from the model's Hermitian eigendecomposition
+    (HamiltonianSum.eigh, computed once per model)."""
+    w, v = h.eigh
+    return DenseOperator((v * np.exp(-1j * t * w)) @ v.conj().T)
 
 
 def _one_step(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> DenseOperator:
@@ -283,8 +297,7 @@ def error_bound_evaluate(
 def _powered_error(
     h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, target: np.ndarray
 ) -> float:
-    step = mpf_operator(h, big_t / r, scheme)
-    return float(spectral_norm(np.linalg.matrix_power(step.matrix, r) - target))
+    return float(spectral_norm(mpf_evolve(h, big_t, r, scheme).matrix - target))
 
 
 def _minimal_r(
@@ -468,19 +481,13 @@ def _benchmark_cell(
 CSV_HEADER = "n,m,r,queries,queries_amplified,error"
 
 
-def report_emit(results, fmt: str = "csv") -> str:
-    """Serialize benchmark results; csv rows are per (n, m) cell in scan
-    order, json mirrors the result records."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for res in results:
-            for c in res.cells:
-                lines.append(
-                    f"{c.n},{c.m},{c.r},{c.queries!r},"
-                    f"{c.queries_amplified!r},{c.error!r}"
-                )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = [asdict(res) for res in results]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+def report_emit(results) -> str:
+    """Benchmark results as CSV, one row per (n, m) cell in scan order."""
+    lines = [CSV_HEADER]
+    for res in results:
+        for c in res.cells:
+            lines.append(
+                f"{c.n},{c.m},{c.r},{c.queries!r},"
+                f"{c.queries_amplified!r},{c.error!r}"
+            )
+    return "\n".join(lines) + "\n"

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
 from .hamiltonians import HamiltonianSum
 from .operators import DenseOperator
 
 __all__ = [
     "ProductFormulaSpec",
     "build_spec",
-    "powered_formula",
     "suzuki_coefficient",
     "suzuki_u2p",
     "trotter_u1",
@@ -71,26 +69,17 @@ def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
     return ProductFormulaSpec(order, stages)
 
 
-def _pauli_stage_data(h: HamiltonianSum, term_index: int):
-    """(perm, phases) of the term's Pauli string (pauli.string_action),
-    cached per model: right-multiplication by the string is the column
-    gather (M @ P)[:, b] = phases[b] * M[:, perm[b]]."""
-    key = ("stage", term_index)
-    if key not in h._dense_cache:
-        x, z = h.terms[term_index].masks()
-        h._dense_cache[key] = pauli.string_action(x, z, h.n_qubits)
-    return h._dense_cache[key]
-
-
 def _apply_stage(
     out: np.ndarray, h: HamiltonianSum, g: int, scaled_t: float
 ) -> np.ndarray:
     """out @ exp(-i * scaled_t * H_g) for the Pauli term H_g = c P:
-    cos(theta) out - i sin(theta) out @ P with theta = scaled_t * c."""
+    cos(theta) out - i sin(theta) out @ P with theta = scaled_t * c, where
+    right-multiplication by P is the column gather
+    (out @ P)[:, b] = phases[b] * out[:, perm[b]]."""
     theta = scaled_t * h.terms[g].coefficient
     if theta == 0.0:
         return out
-    perm, phases = _pauli_stage_data(h, g)
+    perm, phases = h.stage_actions[g]
     return math.cos(theta) * out - (1j * math.sin(theta)) * (out[:, perm] * phases)
 
 
@@ -119,12 +108,3 @@ def suzuki_u2p(h: HamiltonianSum, t: float, p: int) -> DenseOperator:
         raise ValueError("p must be >= 1")
     return DenseOperator(evaluate_spec(h, t, build_spec(2 * p, h.gamma)))
 
-
-def powered_formula(
-    h: HamiltonianSum, delta: float, k: int, base: ProductFormulaSpec
-) -> DenseOperator:
-    """(U_base(delta/k))^k via binary powering."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    u = evaluate_spec(h, delta / k, base)
-    return DenseOperator(np.linalg.matrix_power(u, k))

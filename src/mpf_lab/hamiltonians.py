@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import pauli
-from .operators import DenseOperator
 
 __all__ = [
     "HamiltonianSum",
-    "NoGroupingError",
     "NotLatticeError",
     "PauliTerm",
     "TooSmallError",
     "from_model_json",
     "heisenberg_1d",
-    "induced_one_norm",
     "one_norm",
     "power_law_lattice",
     "to_model_json",
@@ -37,10 +35,6 @@ class TooSmallError(ValueError):
 
 class NotLatticeError(ValueError):
     """Site count is not a perfect d-th power."""
-
-
-class NoGroupingError(ValueError):
-    """Induced norm requested without grouping labels."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +72,20 @@ class PauliTerm:
 class HamiltonianSum:
     """Ordered sum H = sum_gamma H_gamma on an n-qubit space.
 
-    ``grouping`` holds one label tuple per term (site multi-indices) and is
-    what the induced 1-norm is computed from.
+    ``grouping`` holds one label tuple per term (site multi-indices); it is
+    part of the model file format.
+
+    The sum also owns every piece of per-model data the kernels reuse:
+    the terms' stage actions, the eigendecomposition of the dense sum and
+    the Pauli DP runs. Each is built on first use and lives as long as the
+    model does.
     """
 
     n_qubits: int
     terms: tuple
     grouping: tuple | None = None
-    _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # budget -> (alpha[1..k], whether the budget stopped the run short)
+    _dp_runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.terms) < 1:
@@ -110,17 +110,49 @@ class HamiltonianSum:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    @cached_property
+    def stage_actions(self) -> tuple:
+        """(perm, phases) of every term's Pauli string, in term order
+        (pauli.string_action): P|b> = phases[b] |perm[b]>."""
+        return tuple(pauli.string_action(*t.masks(), self.n_qubits) for t in self.terms)
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """(eigenvalues, eigenvectors) of the dense sum."""
+        return np.linalg.eigh(self.dense())
+
     def term_matrices(self) -> list[np.ndarray]:
-        """Dense matrices of the terms, built once and cached."""
-        if "terms" not in self._dense_cache:
-            self._dense_cache["terms"] = [t.dense() for t in self.terms]
-        return self._dense_cache["terms"]
+        """Dense matrices of the terms, built on every call."""
+        return [t.dense() for t in self.terms]
 
     def dense(self) -> np.ndarray:
-        """Dense matrix of the full sum."""
-        if "sum" not in self._dense_cache:
-            self._dense_cache["sum"] = sum(self.term_matrices())
-        return self._dense_cache["sum"]
+        """Dense matrix of the full sum, accumulated in term order from the
+        stage actions without forming any term matrix."""
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        cols = np.arange(self.dim)
+        for term, (perm, phases) in zip(self.terms, self.stage_actions):
+            out[perm, cols] += term.coefficient * phases
+        return out
+
+    def commutator_weights(self, depth: int, budget: int) -> list[float]:
+        """Exact alpha[1..k] from one Pauli DP run
+        (pauli.commutator_weight_table), k <= depth as far as the budget
+        reaches.
+
+        Runs are kept per budget: a run the budget stopped short answers
+        every deeper request at that budget too.
+        """
+        alphas, stopped = self._dp_runs.get(budget, ([], False))
+        if len(alphas) < depth and not stopped:
+            alphas = pauli.commutator_weight_table(
+                [t.masks() for t in self.terms],
+                [t.coefficient for t in self.terms],
+                depth,
+                self.n_qubits,
+                budget,
+            )
+            self._dp_runs[budget] = (alphas, len(alphas) < depth)
+        return alphas[:depth]
 
 
 def heisenberg_1d(n: int, periodic: bool = True) -> HamiltonianSum:
@@ -192,25 +224,6 @@ def power_law_lattice(n: int, d: int, alpha: float, seed: int = 0) -> Hamiltonia
 def one_norm(h: HamiltonianSum) -> float:
     """Sum of per-term spectral norms."""
     return float(sum(t.norm for t in h.terms))
-
-
-def induced_one_norm(h: HamiltonianSum) -> float:
-    """Max over site values of the summed norms of terms touching that site.
-
-    Terms count when their grouping label contains the site, so unordered
-    bond labels behave as expected (each Heisenberg site is touched by six
-    unit terms). Always bounded by :func:`one_norm`.
-
-    Raises:
-        NoGroupingError: If the sum carries no grouping labels.
-    """
-    if h.grouping is None:
-        raise NoGroupingError("induced norm needs grouping labels")
-    per_site: dict = {}
-    for label, term in zip(h.grouping, h.terms):
-        for value in set(label):
-            per_site[value] = per_site.get(value, 0.0) + term.norm
-    return float(max(per_site.values()))
 
 
 def to_model_json(h: HamiltonianSum, meta: dict | None = None) -> str:

@@ -30,7 +30,6 @@ __all__ = [
     "power_schedule",
     "query_count",
     "required_steps",
-    "scheme_from_json",
     "scheme_to_json",
     "solve_order_condition",
 ]
@@ -219,7 +218,8 @@ def mpf_operator(h: HamiltonianSum, delta: float, scheme: MpfScheme) -> DenseOpe
 def mpf_evolve(
     h: HamiltonianSum, t_total: float, r: int, scheme: MpfScheme
 ) -> DenseOperator:
-    """(U_MP(T/r))^r for long-time evolution."""
+    """(U_MP(T/r))^r for long-time evolution: the powered step whose
+    error the benchmark's r search measures."""
     if r < 1:
         raise NonPositiveError("r must be >= 1")
     step = mpf_operator(h, t_total / r, scheme)
@@ -254,16 +254,3 @@ def scheme_to_json(scheme: MpfScheme) -> str:
     }
     return json.dumps(body, indent=2, sort_keys=True)
 
-
-def scheme_from_json(text: str) -> MpfScheme:
-    body = json.loads(text)
-    scheme = MpfScheme(
-        int(body["base_order"]),
-        int(body["m"]),
-        tuple(int(k) for k in body["powers"]),
-        tuple(float(a) for a in body["coefficients"]),
-    )
-    for name in ("a_norm", "k_norm"):
-        if name in body and abs(body[name] - getattr(scheme, name)) > 1e-9:
-            raise ValueError(f"stored {name} disagrees with recomputation")
-    return scheme

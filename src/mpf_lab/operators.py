@@ -2,8 +2,9 @@
 
 Everything downstream (product formulas, linear-combination schemes, the
 commutator machinery) funnels through the handful of primitives collected
-here: construction of dense operators and state vectors, the eigendecomposition
-matrix exponential, spectral norms, commutators, and operator application.
+here: the dense operator wrapper, the eigendecomposition matrix
+exponential and the spectral norm. Commutators of dense matrices are
+formed where they are used (bch) or in the test oracles.
 
 All operations are pure functions on immutable inputs; returned arrays are
 never views into caller data.
@@ -11,30 +12,22 @@ never views into caller data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DenseOperator",
-    "StateVector",
     "DimMismatchError",
-    "EmptyListError",
     "NonSquareError",
     "NotAntiHermitianError",
-    "apply",
-    "commutator",
     "matrix_exponential",
-    "nested_commutator",
     "spectral_norm",
 ]
 
-#: Absolute tolerance for structural checks (anti-Hermitian deviation,
-#: unitarity, normalization).  Double precision leaves ample headroom for
-#: dims up to 2**10.
+#: Absolute tolerance for the anti-Hermitian check. Double precision leaves
+#: ample headroom for dims up to 2**10.
 STRUCTURAL_TOL = 1e-10
-
-_HINTS = (None, "unitary", "hermitian", "anti_hermitian", "none")
 
 
 class NonSquareError(ValueError):
@@ -49,34 +42,23 @@ class DimMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class EmptyListError(ValueError):
-    """An operator list argument was empty."""
-
-
 @dataclass(frozen=True)
 class DenseOperator:
-    """A square complex matrix with an optional structural tag.
+    """A square complex matrix.
 
     Args:
         matrix: Square 2-D complex array; copied and frozen on construction.
-        hint: Optional structural tag, one of ``unitary``, ``hermitian``,
-            ``anti_hermitian`` or ``none``.  Hints are advisory; call
-            :meth:`verify` to check them.
 
     Raises:
         NonSquareError: If ``matrix`` is not a square 2-D array.
-        ValueError: If ``hint`` is not a recognized tag.
     """
 
     matrix: np.ndarray
-    hint: str | None = None
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-        if self.hint not in _HINTS:
-            raise ValueError(f"unknown hint {self.hint!r}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -84,51 +66,6 @@ class DenseOperator:
     def dim(self) -> int:
         """Matrix dimension (the operator acts on C^dim)."""
         return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "DenseOperator":
-        """Identity operator of the given dimension, tagged unitary."""
-        return cls(np.eye(dim, dtype=np.complex128), hint="unitary")
-
-    def verify(self) -> None:
-        """Check the hint invariant, if any.
-
-        Raises:
-            ValueError: If the tagged structure does not hold within
-                the structural tolerance.
-        """
-        a = self.matrix
-        if self.hint == "unitary":
-            defect = np.linalg.norm(a.conj().T @ a - np.eye(self.dim))
-            if defect > STRUCTURAL_TOL * self.dim:
-                raise ValueError(f"unitary hint violated, defect {defect:.3e}")
-        elif self.hint == "hermitian":
-            if np.max(np.abs(a - a.conj().T)) > 1e-12:
-                raise ValueError("hermitian hint violated")
-        elif self.hint == "anti_hermitian":
-            if np.max(np.abs(a + a.conj().T)) > STRUCTURAL_TOL:
-                raise ValueError("anti-hermitian hint violated")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A complex state vector, optionally tagged as normalized."""
-
-    amplitudes: np.ndarray
-    normalized: bool = field(default=False)
-
-    def __post_init__(self) -> None:
-        v = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
-        if v.size < 1:
-            raise ValueError("state vector must have at least one amplitude")
-        if self.normalized and abs(np.linalg.norm(v) - 1.0) > STRUCTURAL_TOL:
-            raise ValueError("state tagged normalized is not normalized")
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 def _expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
@@ -153,7 +90,7 @@ def matrix_exponential(a: DenseOperator) -> DenseOperator:
         a: Anti-Hermitian operator (entrywise deviation at most 1e-10).
 
     Returns:
-        ``exp(A)`` tagged unitary.
+        ``exp(A)``.
 
     Raises:
         NotAntiHermitianError: If ``A + A^dagger`` deviates from zero by more
@@ -168,7 +105,7 @@ def matrix_exponential(a: DenseOperator) -> DenseOperator:
     m = a.matrix
     if np.max(np.abs(m + m.conj().T)) > STRUCTURAL_TOL:
         raise NotAntiHermitianError("input is not anti-Hermitian within 1e-10")
-    return DenseOperator(_expm_anti_hermitian(m), hint="unitary")
+    return DenseOperator(_expm_anti_hermitian(m))
 
 
 def spectral_norm(a: DenseOperator | np.ndarray) -> float:
@@ -192,47 +129,3 @@ def spectral_norm(a: DenseOperator | np.ndarray) -> float:
     if m.shape[0] == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """Commutator ``AB - BA``.
-
-    Raises:
-        DimMismatchError: If the operands have different dimensions.
-    """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims {a.dim} and {b.dim} differ")
-    return DenseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def nested_commutator(ops: list[DenseOperator]) -> DenseOperator:
-    """Right-nested commutator ``[A1, [A2, ... [A_{n-1}, A_n] ...]]``.
-
-    A length-1 list returns the operator itself (depth-1 convention).
-
-    Raises:
-        EmptyListError: If ``ops`` is empty.
-        DimMismatchError: If dimensions are inconsistent.
-    """
-    if not ops:
-        raise EmptyListError("nested_commutator needs at least one operator")
-    dim = ops[0].dim
-    for op in ops[1:]:
-        if op.dim != dim:
-            raise DimMismatchError("operator dimensions are inconsistent")
-    acc = ops[-1].matrix
-    for op in ops[-2::-1]:
-        m = op.matrix
-        acc = m @ acc - acc @ m
-    return DenseOperator(acc)
-
-
-def apply(a: DenseOperator, psi: StateVector) -> StateVector:
-    """Apply an operator to a state; the result is not renormalized.
-
-    Raises:
-        DimMismatchError: If operator and state dimensions differ.
-    """
-    if a.dim != psi.dim:
-        raise DimMismatchError(f"operator dim {a.dim} vs state dim {psi.dim}")
-    return StateVector(a.matrix @ psi.amplitudes)

@@ -27,6 +27,20 @@ def dense_sum(h):
     return total
 
 
+def commutator(a, b):
+    """[A, B] = AB - BA of dense arrays."""
+    return a @ b - b @ a
+
+
+def nested_commutator(ops):
+    """Right-nested commutator [A1, [A2, ... [A_{n-1}, A_n] ...]] of dense
+    arrays; a single operator is returned as is (depth-1 convention)."""
+    acc = ops[-1]
+    for op in ops[-2::-1]:
+        acc = commutator(op, acc)
+    return acc
+
+
 def fit_loglog(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 

@@ -6,17 +6,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import fit_loglog, rand_anti_hermitian
+from conftest import commutator, fit_loglog, rand_anti_hermitian
 from mpf_lab.bch import (
+    PHI_DEPTH_CAP,
     ConvergenceRiskError,
     DepthCapError,
-    Permutation,
     _log_product_terms,
-    _log_unitary,
-    bch_two_term_check,
     descent_count,
     dyson_expansion,
-    e_j_operator,
     effective_generator,
     phi_k,
     symmetric_bch_term,
@@ -27,23 +24,55 @@ from mpf_lab.operators import (
     DenseOperator,
     DimMismatchError,
     NotAntiHermitianError,
-    commutator,
+    _expm_anti_hermitian,
     matrix_exponential,
     spectral_norm,
 )
 
 
+def _log_unitary(u):
+    """Principal-branch logarithm of a unitary via eigendecomposition,
+    symmetrized back to exactly anti-Hermitian: the reference the
+    truncated series is checked against."""
+    w, v = np.linalg.eig(u)
+    if np.max(np.abs(np.abs(w) - 1.0)) > 1e-8:
+        raise ArithmeticError("input is not unitary to working precision")
+    phases = np.angle(w)
+    if np.max(np.abs(phases)) > math.pi - 1e-6:
+        raise ConvergenceRiskError("eigenphase too close to the branch cut")
+    log = (v * (1j * phases)) @ np.linalg.inv(v)
+    log = 0.5 * (log - log.conj().T)
+    defect = spectral_norm(_expm_anti_hermitian(log) - u)
+    if defect > 1e-9:
+        raise ArithmeticError(f"log residual {defect:.3e} too large")
+    return log
+
+
+def bch_two_term_check(x, y, k_max):
+    """|| log(e^X e^Y) - truncated expansion || for anti-Hermitian X, Y.
+
+    Requires ||X|| + ||Y|| <= 1/4 so both the series and the principal
+    branch are safe; the residual decays geometrically in k_max."""
+    for op in (x, y):
+        m = op.matrix
+        if np.max(np.abs(m + m.conj().T)) > 1e-10:
+            raise NotAntiHermitianError("inputs must be anti-Hermitian")
+    if spectral_norm(x) + spectral_norm(y) > 0.25:
+        raise ConvergenceRiskError("norm premise ||X|| + ||Y|| <= 1/4 violated")
+    if k_max > PHI_DEPTH_CAP:
+        raise DepthCapError(f"k_max = {k_max} exceeds {PHI_DEPTH_CAP}")
+    letters = [x.matrix, y.matrix]
+    z = _log_product_terms(letters, k_max).sum(axis=0)
+    reference = _log_unitary(
+        _expm_anti_hermitian(letters[0]) @ _expm_anti_hermitian(letters[1])
+    )
+    return float(spectral_norm(z - reference))
+
+
 def test_descent_count_pinned():
-    assert descent_count(Permutation((1, 2, 3))) == 0
-    assert descent_count(Permutation((2, 1))) == 1
-    assert descent_count(Permutation((3, 1, 2))) == 1
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((1, 1))
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
+    assert descent_count((1, 2, 3)) == 0
+    assert descent_count((2, 1)) == 1
+    assert descent_count((3, 1, 2)) == 1
 
 
 def _rand_ops(rng, count, dim=4, norm=1.0):
@@ -59,7 +88,7 @@ def test_phi_1_is_identity_map():
 def test_phi_2_is_half_commutator():
     rng = np.random.default_rng(1)
     y1, y2 = _rand_ops(rng, 2)
-    want = 0.5 * commutator(y1, y2).matrix
+    want = 0.5 * commutator(y1.matrix, y2.matrix)
     assert np.allclose(phi_k([y1, y2]).matrix, want, atol=1e-12)
 
 
@@ -150,7 +179,7 @@ def test_two_term_check_residual_decay_and_scipy_oracle():
     # the k_max=2 truncation is X + Y + [X,Y]/2; check the residual
     # against an entirely external log
     log = scipy.linalg.logm(scipy.linalg.expm(x.matrix) @ scipy.linalg.expm(y.matrix))
-    manual = x.matrix + y.matrix + 0.5 * commutator(x, y).matrix
+    manual = x.matrix + y.matrix + 0.5 * commutator(x.matrix, y.matrix)
     assert abs(r2 - np.linalg.norm(log - manual, 2)) <= 1e-10
 
 
@@ -219,22 +248,14 @@ def test_effective_generator_premise_gate(xz1):
         effective_generator(xz1, 0.5, 3)
 
 
-def test_e_j_operator_properties(xz1, commuting3):
-    assert spectral_norm(e_j_operator(commuting3, 3)) <= 1e-14
-    # alpha_comm,3 on {X,Z} is 16, so the bound is 16/9
-    e3 = e_j_operator(xz1, 3)
-    assert spectral_norm(e3) <= 16 / 9 + 1e-9
-    with pytest.raises(ValueError):
-        e_j_operator(xz1, 4)
-
-
 def test_e3_reexponentiated_order_five(xz1):
-    e3 = e_j_operator(xz1, 3).matrix
+    # the degree-3 term at s = 1 is the coefficient operator of s^3
+    e3 = symmetric_bch_term(xz1, 3, 1.0).phi_value.matrix
     h = xz1.dense()
     ss = (0.2, 0.1, 0.05, 0.025)
     errs = []
     for s in ss:
-        gen = DenseOperator(-1j * h * s + e3 * s**3, hint="anti_hermitian")
+        gen = DenseOperator(-1j * h * s + e3 * s**3)
         errs.append(spectral_norm(trotter_u2(xz1, s).matrix - matrix_exponential(gen).matrix))
     assert fit_loglog(ss, errs) == pytest.approx(5.0, abs=0.3)
 

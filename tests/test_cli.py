@@ -59,6 +59,9 @@ class TestCommutators:
         assert body["mu"]["mu_m"] > 0
         assert body["mu"]["j_cap"] == 6
         assert body["radius"] > 0
+        # "auto" is accepted as a spelling of the Pauli path
+        auto = run("commutators", "--model", "heisenberg", "--n", "4", "--j-cap", "6", "--method", "auto")
+        assert auto[:2] == (0, out)
 
     def test_commuting_model(self, run):
         code, out, _ = run("commutators", "--model", "commuting", "--n", "3")

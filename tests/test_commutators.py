@@ -1,24 +1,23 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import nested_commutator
 from mpf_lab.commutators import (
-    BadRegimeError,
     BudgetExceededError,
     CommutatorTable,
     MissingAlphaError,
     PartitionBlowupError,
     alpha_comm,
-    analytic_mu,
     build_table,
     composition_sum,
     convergence_radius,
     lambda_jl,
     mu_m,
     mu_upper_bound,
-    table_from_json,
     table_to_json,
 )
 from mpf_lab.hamiltonians import (
@@ -36,6 +35,8 @@ def test_alpha_trivial_depths(xz1, commuting3):
     assert alpha_comm(commuting3, 2).value == 0.0
     assert alpha_comm(commuting3, 1).value == pytest.approx(one_norm(commuting3))
     assert alpha_comm(xz1, 1).value == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        alpha_comm(xz1, 1, method="auto")
 
 
 def test_alpha_xz_pinned_table(xz1):
@@ -49,10 +50,7 @@ def _dense_alpha(h, j):
     mats = h.term_matrices()
     total = 0.0
     for tup in itertools.product(mats, repeat=j):
-        nested = tup[-1]
-        for mat in tup[-2::-1]:
-            nested = mat @ nested - nested @ mat
-        total += np.linalg.norm(nested, 2)
+        total += np.linalg.norm(nested_commutator(tup), 2)
     return total
 
 
@@ -139,8 +137,9 @@ def test_table_construction_and_json(heis3):
     table = build_table(heis3, 5)
     assert table.alpha[1] == pytest.approx(one_norm(heis3))
     assert table.gamma == heis3.gamma
-    back = table_from_json(table_to_json(table))
-    assert back == table
+    body = json.loads(table_to_json(table))
+    assert (body["gamma"], body["mode"], body["j_cap"]) == (table.gamma, table.mode, 5)
+    assert {int(j): v for j, v in body["alpha"].items()} == table.alpha
 
 
 def test_table_validation():
@@ -185,6 +184,49 @@ def test_composition_sum_matches_brute_force(values, j, l, variant_base):
     table = _table(values)
     got = composition_sum(table, j, l, variant=variant)
     assert got == pytest.approx(_brute_composition_sum(table, j, l, base), rel=1e-12, abs=1e-12)
+
+
+def _brute_best_products(table, j, l, base):
+    """{composition: product} over the admissible compositions of j into l parts."""
+    parts = range(1, j + 1) if base == 1 else range(max(2, base), j + 1, 2)
+    out = {}
+    for comp in itertools.product(parts, repeat=l):
+        if sum(comp) == j:
+            out[comp] = float(np.prod([table.alpha[p + 1] for p in comp]))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(0.0, 4.0), min_size=11, max_size=11),
+    st.integers(1, 3),
+    st.sampled_from([("first_order", 1), ("second_order", 2), ("order_4", 4)]),
+)
+def test_mu_upper_and_argmax_partition_match_brute_force(values, m, variant_base):
+    # mu_m reads the upper bound and the argmax partition off the same
+    # composition pass as the sums; both are checked here by enumeration
+    variant, base = variant_base
+    table = _table(values)
+    j_cap = 2 * m + 4
+    report = mu_m(table, m, j_cap=j_cap, variant=variant)
+    assert report.mu_upper == mu_upper_bound(table, m, j_cap=j_cap, variant=variant)
+    js = range(m, j_cap + 1) if base == 1 else range(2 * m, j_cap + 1, 2)
+    top = 0.0
+    for j in js:
+        for l in range(1, m + 1):
+            products = _brute_best_products(table, j, l, base)
+            top = max([top] + [v ** (1.0 / (j + l)) for v in products.values()])
+    assert report.mu_upper == pytest.approx(2.0 * top, rel=1e-12, abs=1e-300)
+    j, l, partition = report.argmax
+    products = _brute_best_products(table, j, l, base)
+    if not products:
+        assert partition == ()
+    else:
+        assert tuple(sorted(partition, reverse=True)) == partition
+        assert sorted(partition) in [sorted(c) for c in products]
+        want = max(products.values())
+        got = float(np.prod([table.alpha[p + 1] for p in partition]))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_composition_sum_infeasible_is_zero():
@@ -298,26 +340,3 @@ def test_convergence_radius_values(xz1, heis3, commuting3):
     assert convergence_radius(build_table(commuting3, 6)) == float("inf")
     assert convergence_radius(build_table(xz1, 8)) == pytest.approx(0.3714985722842371, abs=1e-12)
     assert convergence_radius(build_table(heis3, 12)) == pytest.approx(0.1029, abs=5e-4)
-
-
-def test_analytic_mu_shapes():
-    assert analytic_mu("electronic_structure", n=10) == ("n", 10.0)
-
-    expr, value = analytic_mu("k_local", induced=1.0, one_norm=8.0, p=2)
-    assert value == pytest.approx(8.0 ** (1 / 3))
-    assert "induced" in expr
-
-    assert analytic_mu("power_law", d=2, alpha=1.0, regime="alpha_lt_d")[1] == pytest.approx(10 / 3 - 0.5)
-    assert analytic_mu("power_law", d=1, alpha=2.0, regime="alpha_ge_d")[1] == pytest.approx(7 / 3)
-    assert analytic_mu("power_law", d=1, alpha=3.0, regime="alpha_gt_2d")[1] == pytest.approx(4 / 3 + 0.5)
-
-
-def test_analytic_mu_regime_gates():
-    with pytest.raises(BadRegimeError):
-        analytic_mu("power_law", d=2, alpha=3.0, regime="alpha_lt_d")
-    with pytest.raises(BadRegimeError):
-        analytic_mu("power_law", d=1, alpha=1.5, regime="alpha_gt_2d")
-    with pytest.raises(BadRegimeError):
-        analytic_mu("k_local", induced=-1.0, one_norm=2.0)
-    with pytest.raises(ValueError):
-        analytic_mu("banana")

@@ -6,13 +6,13 @@ from conftest import fit_loglog
 from mpf_lab.experiments import exact_evolution
 from mpf_lab.formulas import (
     build_spec,
-    powered_formula,
     suzuki_coefficient,
     suzuki_u2p,
     trotter_u1,
     trotter_u2,
 )
 from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.mpf import MpfScheme, mpf_operator
 from mpf_lab.operators import spectral_norm
 
 HALVING_GRID = (0.2, 0.1, 0.05, 0.025)
@@ -116,22 +116,24 @@ def test_commuting_family_exact_all_orders(k, commuting3):
     exact = exact_evolution(commuting3, 0.4).matrix
     for fn in (trotter_u1, trotter_u2, lambda h, t: suzuki_u2p(h, t, 2)):
         assert spectral_norm(fn(commuting3, 0.4).matrix - exact) <= 1e-9
-    base = build_spec(2, commuting3.gamma)
-    assert spectral_norm(powered_formula(commuting3, 0.4, k, base).matrix - exact) <= 1e-9
+    powered = mpf_operator(commuting3, 0.4, _powered(k))
+    assert spectral_norm(powered.matrix - exact) <= 1e-9
+
+
+def _powered(k):
+    # the one-term scheme is the powered formula U_2(delta/k)^k
+    return MpfScheme(2, 1, (k,), (1.0,))
 
 
 def test_powered_formula_k1_and_naive_product(heis3):
-    base = build_spec(2, heis3.gamma)
-    assert np.allclose(powered_formula(heis3, 0.3, 1, base).matrix, trotter_u2(heis3, 0.3).matrix, atol=1e-12)
+    assert np.allclose(mpf_operator(heis3, 0.3, _powered(1)).matrix, trotter_u2(heis3, 0.3).matrix, atol=1e-12)
 
     step = trotter_u2(heis3, 0.3 / 4).matrix
     naive = step @ step @ step @ step
-    assert spectral_norm(powered_formula(heis3, 0.3, 4, base).matrix - naive) <= 1e-10
+    assert spectral_norm(mpf_operator(heis3, 0.3, _powered(4)).matrix - naive) <= 1e-10
 
 
-def test_powered_formula_rejects_bad_k(heis3):
-    with pytest.raises(ValueError):
-        powered_formula(heis3, 0.3, 0, build_spec(2, heis3.gamma))
+def test_suzuki_u2p_rejects_bad_p(heis3):
     with pytest.raises(ValueError):
         suzuki_u2p(heis3, 0.3, 0)
 

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_sum
 from mpf_lab.hamiltonians import (
     HamiltonianSum,
-    NoGroupingError,
     NotLatticeError,
     PauliTerm,
     TooSmallError,
     from_model_json,
     heisenberg_1d,
-    induced_one_norm,
     one_norm,
     power_law_lattice,
     to_model_json,
@@ -32,7 +31,6 @@ def test_heisenberg_n4_open_counts():
 def test_heisenberg_n4_periodic_norms():
     h = heisenberg_1d(4)
     assert one_norm(h) == pytest.approx(12.0)
-    assert induced_one_norm(h) == pytest.approx(6.0)
 
 
 def test_heisenberg_n2_periodic_keeps_wrap_copy():
@@ -91,20 +89,9 @@ def test_power_law_seed_determinism():
 def test_one_norm_basics():
     h = HamiltonianSum(2, (PauliTerm(2, 2.0, {0: "X"}),), grouping=((0,),))
     assert one_norm(h) == pytest.approx(2.0)
-    assert induced_one_norm(h) == pytest.approx(2.0)
 
     zero = HamiltonianSum(2, (PauliTerm(2, 0.0, {0: "X"}), PauliTerm(2, 0.0, {1: "Z"})))
     assert one_norm(zero) == 0.0
-
-
-def test_power_law_induced_norm_equals_site_sums():
-    h = power_law_lattice(4, 1, 2.0)
-    per_site = {}
-    for t in h.terms:
-        for site in t.paulis:
-            per_site[site] = per_site.get(site, 0.0) + t.norm
-    assert induced_one_norm(h) == pytest.approx(max(per_site.values()))
-    assert induced_one_norm(h) == pytest.approx(3.25)
 
 
 @pytest.mark.parametrize(
@@ -117,16 +104,37 @@ def test_power_law_induced_norm_equals_site_sums():
     ],
     ids=["heis3", "heis5-open", "pl-1d", "pl-2d"],
 )
-def test_induced_bounded_by_one_norm_and_hermitian(h):
-    assert induced_one_norm(h) <= one_norm(h) + 1e-12
+def test_dense_is_hermitian(h):
     d = h.dense()
     assert np.max(np.abs(d - d.conj().T)) <= 1e-12
 
 
-def test_induced_norm_requires_grouping():
-    h = HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "X"}),))
-    with pytest.raises(NoGroupingError):
-        induced_one_norm(h)
+pauli_sums = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0),
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(pauli_sums, st.data())
+def test_dense_matches_term_sum_and_kron_oracle(spec, data):
+    n, raw = spec
+    # repeat some strings so that terms land on the same entries
+    repeats = data.draw(st.lists(st.sampled_from(raw), max_size=4))
+    terms = tuple(PauliTerm(n, c, letters) for c, letters in raw + repeats)
+    h = HamiltonianSum(n, terms)
+    d = h.dense()
+    assert np.array_equal(d, sum(h.term_matrices()))
+    assert np.allclose(d, dense_sum(h), rtol=0.0, atol=1e-12)
 
 
 def test_model_json_round_trips(xz1):

@@ -1,13 +1,11 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 
 from conftest import fit_loglog
 from mpf_lab.experiments import exact_evolution
-from mpf_lab.formulas import build_spec, powered_formula, trotter_u2
-from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.formulas import trotter_u2
 from mpf_lab.mpf import (
     DuplicatePowersError,
     NonPositiveError,
@@ -17,8 +15,6 @@ from mpf_lab.mpf import (
     power_schedule,
     query_count,
     required_steps,
-    scheme_from_json,
-    scheme_to_json,
     solve_order_condition,
 )
 from mpf_lab.operators import spectral_norm
@@ -102,9 +98,6 @@ def test_mpf_operator_m1_reduces_to_base(heis3):
     scheme = solve_order_condition((1,), 1)
     u = mpf_operator(heis3, 0.3, scheme)
     assert np.allclose(u.matrix, trotter_u2(heis3, 0.3).matrix, atol=1e-12)
-    assert np.allclose(
-        u.matrix, powered_formula(heis3, 0.3, 1, build_spec(2, heis3.gamma)).matrix, atol=1e-12
-    )
 
 
 def test_mpf_operator_commuting_exact(commuting3):
@@ -180,12 +173,3 @@ def test_query_count_arithmetic():
     assert query_count(10, m2) == 30
     assert query_count(10, m2, include_amplification=True) == 60
 
-
-def test_scheme_json_round_trip_and_tamper_detection():
-    scheme = solve_order_condition((1, 2, 3), 3)
-    assert scheme_from_json(scheme_to_json(scheme)) == scheme
-
-    body = json.loads(scheme_to_json(scheme))
-    body["a_norm"] += 1e-3
-    with pytest.raises(ValueError):
-        scheme_from_json(json.dumps(body))
