@@ -3,9 +3,9 @@
 Subcommands: scheme, commutators, convergence, benchmark, bch-verify.
 Flags can also be supplied through --config (a JSON object with the same
 long option names, underscores for dashes); explicit flags win over config
-values, config values win over defaults, and unknown config keys are
-usage errors. Exit codes: 0 success, 2 usage, 3 resource or budget,
-4 numeric premise violation.
+values, config values win over defaults, and unknown config keys or values
+the flag would not accept are usage errors. Exit codes: 0 success,
+2 usage, 3 resource or budget, 4 numeric premise violation.
 
 All outputs are deterministic byte-for-byte for a fixed configuration:
 reductions are ordered sums and serialization sorts its keys, so repeated
@@ -46,54 +46,69 @@ class RunConfig:
     output_path: str | None
 
 
-# Long option names (underscored) each subcommand accepts, with defaults.
-# None means "must be provided" only where validation below says so.
+# Each subcommand's options: underscored long name -> (type, default,
+# choices, help). The parser is built from these tables and --config values
+# pass the same type and choice checks as flags. A None default means
+# "must be provided" only where validation below says so.
 _COMMON = {
-    "seed": 0,
-    "output": None,
-    "config": None,
+    "seed": (int, 0, None, None),
+    "output": (str, None, None, "write here instead of stdout"),
+    "config": (str, None, None, "JSON file with these options"),
 }
 _MODEL = {
-    "model": "heisenberg",
-    "model_file": None,
-    "n": 3,
-    "periodic": True,
-    "d": 1,
-    "alpha": 1.0,
+    "model": (str, "heisenberg", ("heisenberg", "power_law", "commuting"), None),
+    "model_file": (str, None, None, "model JSON file"),
+    "n": (int, 3, None, None),
+    "periodic": (bool, True, None, None),
+    "d": (int, 1, None, None),
+    "alpha": (float, 1.0, None, None),
 }
-_SCHEMAS = {
-    "scheme": {**_COMMON, "m": None, "base": 2, "strategy": "natural"},
-    "commutators": {
+_COMMANDS = {
+    "scheme": ("solve the order condition", {
+        "m": (int, None, None, None),
+        "base": (int, 2, None, None),
+        "strategy": (str, "natural", ("natural", "min_a_norm"), None),
         **_COMMON,
+    }),
+    "commutators": ("alpha table and mu report", {
         **_MODEL,
-        "m": 1,
-        "j_cap": None,
-        "variant": "second_order",
-        "budget": commutators.DEFAULT_BUDGET,
-        "method": "pauli",
-        "allow_capped": False,
-    },
-    "convergence": {
+        "m": (int, 1, None, None),
+        "j_cap": (int, None, None, None),
+        "variant": (str, "second_order", None, None),
+        "budget": (int, commutators.DEFAULT_BUDGET, None, None),
+        "method": (str, "pauli", ("auto", "pauli", "dense"), None),
+        "allow_capped": (bool, False, None, None),
         **_COMMON,
+    }),
+    "convergence": ("one-step order study", {
         **_MODEL,
-        "evolver": "u2",
-        "p": None,
-        "m": 1,
-        "dt_grid": None,
-        "points": 6,
-        "ratio": 2.0,
-        "start": 0.8,
-    },
-    "benchmark": {
+        "evolver": (str, "u2", ("u1", "u2", "u2p", "mpf"), None),
+        "p": (int, None, None, None),
+        "m": (int, 1, None, None),
+        "dt_grid": (str, None, None, "comma-separated steps"),
+        "points": (int, 6, None, None),
+        "ratio": (float, 2.0, None, None),
+        "start": (float, 0.8, None, None),
         **_COMMON,
-        "n_list": "",
-        "m_list": "1,2,3,4,5",
-        "eps": 1e-3,
-        "format": "csv",
-        "theory_only": False,
-        "periodic": True,
-    },
-    "bch-verify": {**_COMMON, **_MODEL, "k_max": 5, "s": 0.05},
+    }),
+    "benchmark": ("chain-length scaling benchmark", {
+        "n_list": (str, "", None, "comma-separated lengths"),
+        "m_list": (str, "1,2,3,4,5", None, "comma-separated half-orders"),
+        "eps": (float, 1e-3, None, None),
+        "format": (str, "csv", ("csv", "json"), None),
+        "theory_only": (bool, False, None, None),
+        "periodic": (bool, True, None, None),
+        **_COMMON,
+    }),
+    "bch-verify": ("expansion terms and bounds", {
+        **_MODEL,
+        "k_max": (int, 5, None, None),
+        "s": (float, 0.05, None, None),
+        **_COMMON,
+    }),
+}
+_JSON_TYPES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string"
 }
 
 
@@ -103,80 +118,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for multi-product formula simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--config", default=None, help="JSON file with these options")
-
-    def add_model(p):
-        p.add_argument(
-            "--model",
-            choices=["heisenberg", "power_law", "commuting"],
-            default=None,
-        )
-        p.add_argument("--model-file", default=None, help="model JSON file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument(
-            "--periodic", action=argparse.BooleanOptionalAction, default=None
-        )
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-
-    p = sub.add_parser("scheme", help="solve the order condition")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument("--strategy", choices=["natural", "min_a_norm"], default=None)
-    add_common(p)
-
-    p = sub.add_parser("commutators", help="alpha table and mu report")
-    add_model(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--j-cap", type=int, default=None)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--method", choices=["auto", "pauli", "dense"], default=None)
-    p.add_argument(
-        "--allow-capped", action=argparse.BooleanOptionalAction, default=None
-    )
-    add_common(p)
-
-    p = sub.add_parser("convergence", help="one-step order study")
-    add_model(p)
-    p.add_argument("--evolver", choices=["u1", "u2", "u2p", "mpf"], default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--dt-grid", default=None, help="comma-separated steps")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--start", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("benchmark", help="chain-length scaling benchmark")
-    p.add_argument("--n-list", default=None, help="comma-separated lengths")
-    p.add_argument("--m-list", default=None, help="comma-separated half-orders")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument(
-        "--theory-only", action=argparse.BooleanOptionalAction, default=None
-    )
-    p.add_argument(
-        "--periodic", action=argparse.BooleanOptionalAction, default=None
-    )
-    add_common(p)
-
-    p = sub.add_parser("bch-verify", help="expansion terms and bounds")
-    add_model(p)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--s", type=float, default=None)
-    add_common(p)
-
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (kind, _, choices, text) in options.items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+            else:
+                p.add_argument(flag, type=kind, choices=choices, help=text)
     return parser
+
+
+def _config_value(key: str, value, kind, choices):
+    """A --config value, checked as its flag would be: a JSON boolean for a
+    switch, an integer for an int option, any number for a float option,
+    and one of the flag's choices where it has them."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (choices and value not in choices):
+        expected = f"one of {list(choices)}" if choices else _JSON_TYPES[kind]
+        raise UsageError(f"config {key} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    schema = _SCHEMAS[command]
+    options = _COMMANDS[command][1]
     file_values = {}
     if args.config is not None:
         try:
@@ -186,19 +153,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config must be a JSON object")
-        unknown = set(file_values) - set(schema)
+        unknown = set(file_values) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
     params = {}
-    for key, default in schema.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            params[key] = cli_value
-        elif key in file_values:
-            params[key] = file_values[key]
-        else:
-            params[key] = default
-    seed = int(params.pop("seed"))
+    for key, (kind, default, choices, _) in options.items():
+        if key in file_values:
+            default = _config_value(key, file_values[key], kind, choices)
+        cli_value = getattr(args, key)
+        params[key] = default if cli_value is None else cli_value
+    seed = params.pop("seed")
     output = params.pop("output")
     params.pop("config")
     return RunConfig(command, params, seed, output)
@@ -212,18 +176,15 @@ def _build_model(config: RunConfig) -> HamiltonianSum:
                 return from_model_json(fh.read())
         except (OSError, ValueError, KeyError) as exc:
             raise UsageError(f"cannot load model file: {exc}") from exc
-    n = int(p["n"])
-    kind = p["model"]
-    if kind == "heisenberg":
-        return heisenberg_1d(n, periodic=bool(p["periodic"]))
-    if kind == "power_law":
-        return power_law_lattice(n, int(p["d"]), float(p["alpha"]), config.seed)
-    if kind == "commuting":
-        if n < 1:
-            raise UsageError("commuting model needs n >= 1")
-        terms = [PauliTerm(n, 1.0, {i: "Z"}) for i in range(n)]
-        return HamiltonianSum(n, tuple(terms), tuple((i,) for i in range(n)))
-    raise UsageError(f"unknown model {kind!r}")
+    n = p["n"]
+    if p["model"] == "heisenberg":
+        return heisenberg_1d(n, periodic=p["periodic"])
+    if p["model"] == "power_law":
+        return power_law_lattice(n, p["d"], p["alpha"], config.seed)
+    if n < 1:
+        raise UsageError("commuting model needs n >= 1")
+    terms = [PauliTerm(n, 1.0, {i: "Z"}) for i in range(n)]
+    return HamiltonianSum(n, tuple(terms), tuple((i,) for i in range(n)))
 
 
 def _dump(body) -> str:
@@ -234,11 +195,8 @@ def cmd_scheme(config: RunConfig) -> str:
     p = config.params
     if p["m"] is None:
         raise UsageError("scheme needs --m")
-    m, base = int(p["m"]), int(p["base"])
-    if m < 1:
-        raise UsageError("m must be >= 1")
-    powers = mpf.power_schedule(m, p["strategy"], base)
-    scheme = mpf.solve_order_condition(powers, m, base)
+    powers = mpf.power_schedule(p["m"], p["strategy"], p["base"])
+    scheme = mpf.solve_order_condition(powers, p["m"], p["base"])
     body = json.loads(mpf.scheme_to_json(scheme))
     body["residual"] = scheme.residual()
     return _dump(body)
@@ -246,15 +204,15 @@ def cmd_scheme(config: RunConfig) -> str:
 
 def cmd_commutators(config: RunConfig) -> str:
     p = config.params
-    m = int(p["m"])
+    m = p["m"]
+    # checked here because build_table runs before mu_m would catch it
     if m < 1:
         raise UsageError("m must be >= 1")
     j_cap = p["j_cap"] if p["j_cap"] is not None else 2 * m + 8
-    j_cap = int(j_cap)
     h = _build_model(config)
     # "auto" is kept as a spelling of the Pauli DP, the only fast path
     method = "pauli" if p["method"] == "auto" else p["method"]
-    table = commutators.build_table(h, j_cap + 1, budget=int(p["budget"]), method=method)
+    table = commutators.build_table(h, j_cap + 1, budget=p["budget"], method=method)
     if table.mode == "capped" and not p["allow_capped"]:
         raise commutators.BudgetExceededError(
             "table is capped; pass --allow-capped to accept the envelope"
@@ -283,10 +241,7 @@ def cmd_convergence(config: RunConfig) -> str:
     evolver = p["evolver"]
     scheme = None
     if evolver == "mpf":
-        m = int(p["m"])
-        if m < 1:
-            raise UsageError("m must be >= 1")
-        scheme = mpf.solve_order_condition(mpf.power_schedule(m), m)
+        scheme = mpf.solve_order_condition(mpf.power_schedule(p["m"]), p["m"])
     grid = _parse_grid(p["dt_grid"]) if p["dt_grid"] else None
     try:
         if grid is None:
@@ -295,9 +250,9 @@ def cmd_convergence(config: RunConfig) -> str:
                 evolver,
                 p["p"],
                 scheme,
-                points=int(p["points"]),
-                ratio=float(p["ratio"]),
-                start=float(p["start"]),
+                points=p["points"],
+                ratio=p["ratio"],
+                start=p["start"],
             )
         study = experiments.convergence_study(h, evolver, grid, p["p"], scheme)
     except experiments.DegenerateGridError as exc:
@@ -330,13 +285,8 @@ def cmd_benchmark(config: RunConfig) -> str:
         ]
         return _dump({"limit_exponent": 4.0 / 3.0, "theory": theory})
     n_list = _parse_int_list(p["n_list"], "n list")
-    if len(n_list) < 3:
-        raise UsageError("need at least 3 chain lengths")
-    eps = float(p["eps"])
-    if not 0 < eps < 1:
-        raise UsageError("eps must be in (0,1)")
     results = experiments.heisenberg_benchmark(
-        n_list, m_list, eps, periodic=bool(p["periodic"])
+        n_list, m_list, p["eps"], periodic=p["periodic"]
     )
     if p["format"] == "json":
         payload = {
@@ -350,8 +300,7 @@ def cmd_benchmark(config: RunConfig) -> str:
 def cmd_bch_verify(config: RunConfig) -> str:
     p = config.params
     h = _build_model(config)
-    k_max = int(p["k_max"])
-    s = float(p["s"])
+    k_max, s = p["k_max"], p["s"]
     if k_max < 1 or k_max > bch.WORD_DEPTH_CAP:
         raise UsageError(f"k_max must be in [1, {bch.WORD_DEPTH_CAP}]")
     if s <= 0:

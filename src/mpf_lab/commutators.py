@@ -42,7 +42,6 @@ __all__ = [
     "convergence_radius",
     "lambda_jl",
     "mu_m",
-    "mu_upper_bound",
     "table_to_json",
 ]
 
@@ -302,7 +301,8 @@ def _best_composition(best: list, choice: list, j: int, l: int) -> tuple:
 
 
 def _upper(best: list, base: int, m: int, j_cap: int) -> float:
-    """2 * sup over the scanned (j, l) of best[l][j]^(1/(j+l))."""
+    """2 * sup over the scanned (j, l) of best[l][j]^(1/(j+l)); dominates
+    mu_m because composition counts stay below 2^(j-1)."""
     top = 0.0
     for j in _slice_js(base, m, j_cap):
         for l in range(1, m + 1):
@@ -337,11 +337,7 @@ def lambda_jl(
 ) -> float:
     """( sum over admissible compositions of j into l parts of
     prod alpha[part+1] )^(1/(j+l))."""
-    base = _variant_base(variant)
-    _check_jl(j, l, base)
-    table.require(j + 1)
-    total = _composition_tables(table, j, l, base)[0][l][j]
-    return float(total ** (1.0 / (j + l)))
+    return composition_sum(table, j, l, variant) ** (1.0 / (j + l))
 
 
 def mu_m(
@@ -394,21 +390,6 @@ def mu_m(
         tail_clear=tail_clear,
         j_cap=j_cap,
     )
-
-
-def mu_upper_bound(
-    table: CommutatorTable, m: int, j_cap: int | None = None, variant="second_order"
-) -> float:
-    """2 * sup over (j, l) of the single best composition product to the
-    power 1/(j+l); dominates mu_m because composition counts stay below
-    2^(j-1)."""
-    base = _variant_base(variant)
-    if j_cap is None:
-        j_cap = 2 * m + 8
-    if j_cap > PARTITION_J_CAP:
-        raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
-    table.require(j_cap + 1)
-    return _upper(_composition_tables(table, j_cap, m, base)[1], base, m, j_cap)
 
 
 def convergence_radius(table: CommutatorTable) -> float:

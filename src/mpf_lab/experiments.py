@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutators import (
+    PARTITION_J_CAP,
     CommutatorTable,
+    PartitionBlowupError,
+    _composition_tables,
     build_table,
-    composition_sum,
     convergence_radius,
     mu_m,
 )
@@ -255,27 +257,25 @@ def error_bound_evaluate(
         raise PremiseViolatedError(
             f"delta = {delta} exceeds heuristic radius {radius:.6g}"
         )
+    if j_cap > PARTITION_J_CAP:
+        raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
+    # sums[l][j]: the composition_sum(table, j, l) of every cell, one pass
+    sums = _composition_tables(table, j_cap, m, 2)[0]
     e_tilde = {}
     slice_totals = []
     thm_sum = 0.0
     for j in range(2 * m, j_cap + 1, 2):
         corrections = 0.0
         for l in range(1, min(j // 2, m - 1) + 1):
-            corrections += (
-                delta ** (l - 1) / math.factorial(l) * composition_sum(table, j, l)
-            )
+            corrections += delta ** (l - 1) / math.factorial(l) * sums[l][j]
         e_tilde[j] = delta ** (j + 1) * corrections
         slice_total = 0.0
         for l in range(1, m + 1):
-            slice_total += (
-                delta ** (j + l)
-                / math.factorial(l)
-                * composition_sum(table, j, l)
-            )
+            slice_total += delta ** (j + l) / math.factorial(l) * sums[l][j]
         slice_totals.append(slice_total)
         thm_sum += slice_total
     f_tilde = (delta ** (3 * m) / math.factorial(m)) * sum(
-        delta ** (j - 2 * m) * composition_sum(table, j, m)
+        delta ** (j - 2 * m) * sums[m][j]
         for j in range(2 * m, j_cap + 1, 2)
     )
     trend_clear = len(slice_totals) >= 2 and slice_totals[-1] <= slice_totals[-2]

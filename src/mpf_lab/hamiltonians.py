@@ -93,6 +93,10 @@ class HamiltonianSum:
         for term in self.terms:
             if not isinstance(term, PauliTerm):
                 raise TypeError(f"terms must be PauliTerm, got {type(term).__name__}")
+            if term.n_qubits != self.n_qubits:
+                raise ValueError(
+                    f"term on {term.n_qubits} qubits in a {self.n_qubits}-qubit sum"
+                )
         if self.grouping is not None and len(self.grouping) != len(self.terms):
             raise ValueError("grouping length must match term count")
         object.__setattr__(self, "terms", tuple(self.terms))

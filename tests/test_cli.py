@@ -281,6 +281,50 @@ class TestConfigAndIo:
         assert run("scheme", "--config", str(cfg))[0] == 2
         assert run("scheme", "--config", str(tmp_path / "nope.json"))[0] == 2
 
+    @pytest.mark.parametrize("command, key, value, extra", [
+        ("commutators", "allow_capped", "no", ()),
+        ("commutators", "periodic", "false", ()),
+        ("benchmark", "theory_only", "no", ()),
+        ("benchmark", "format", "xml", ("--n-list", "3,4,5", "--m-list", "1", "--eps", "0.1")),
+        ("commutators", "n", 4.7, ()),
+        ("scheme", "m", "2", ()),
+    ])
+    def test_config_values_checked_like_flags(self, run, tmp_path, command, key, value, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(command, "--config", str(cfg), *extra)
+        assert code == 2 and out == ""
+        assert key in err
+
+    @pytest.mark.parametrize("model", ["heisenberg", "power_law"])
+    def test_config_round_trips_every_commutators_option(self, run, tmp_path, model):
+        # model_file is left out: it replaces the model options
+        values = {
+            "model": model, "n": 4, "periodic": False, "d": 1, "alpha": 2,
+            "m": 2, "j_cap": 6, "variant": "first_order", "budget": 10**6,
+            "method": "auto", "allow_capped": False, "seed": 7,
+            "output": str(tmp_path / "from_config.json"),
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run("commutators", "--config", str(cfg)) == (0, "", "")
+        flags = ("--model", model, "--n", "4", "--no-periodic", "--d", "1", "--alpha", "2",
+                 "--m", "2", "--j-cap", "6", "--variant", "first_order", "--budget", "1000000",
+                 "--method", "auto", "--no-allow-capped", "--seed", "7",
+                 "--output", str(tmp_path / "from_flags.json"))
+        assert run("commutators", *flags) == (0, "", "")
+        text = (tmp_path / "from_config.json").read_text()
+        assert text and text == (tmp_path / "from_flags.json").read_text()
+
+    @pytest.mark.parametrize("command", ["commutators", "convergence", "bch-verify"])
+    def test_model_file_terms_wider_than_model(self, run, tmp_path, command):
+        terms = [{"n_qubits": 3, "coefficient": 1.0, "paulis": {str(q): "Z"}} for q in (2, 0)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"model": "custom", "n": 2, "terms": terms}))
+        code, out, err = run(command, "--model-file", str(path))
+        assert code == 2 and out == ""
+        assert "3 qubits in a 2-qubit sum" in err
+
     def test_output_file(self, run, tmp_path):
         ref = run("scheme", "--m", "2")[1]
         path = tmp_path / "out.json"

@@ -144,6 +144,15 @@ def test_model_json_round_trips(xz1):
         assert np.allclose(back.dense(), h.dense(), atol=1e-14)
 
 
+def test_sum_rejects_terms_of_another_width():
+    # Z on qubit 2 would alias qubit 0 in a 2-qubit sum's packed masks
+    wide = (PauliTerm(3, 1.0, {2: "Z"}), PauliTerm(3, 1.0, {0: "Z"}))
+    with pytest.raises(ValueError, match="3 qubits in a 2-qubit sum"):
+        HamiltonianSum(2, wide)
+    with pytest.raises(ValueError, match="1 qubits in a 2-qubit sum"):
+        HamiltonianSum(2, (PauliTerm(2, 1.0, {1: "X"}), PauliTerm(1, 1.0, {0: "X"})))
+
+
 def test_term_validation():
     with pytest.raises(ValueError):
         PauliTerm(2, float("nan"), {0: "X"})
