@@ -28,7 +28,7 @@ from .hamiltonians import HamiltonianSum
 from .operators import (
     DenseOperator,
     DimMismatchError,
-    NotAntiHermitianError,
+    _check_anti_hermitian,
     _expm_anti_hermitian,
     spectral_norm,
 )
@@ -261,9 +261,7 @@ def dyson_expansion(a: DenseOperator, b: DenseOperator, p: int):
     if p < 1:
         raise ValueError("p must be >= 1")
     for op in (a, b):
-        m = op.matrix
-        if np.max(np.abs(m + m.conj().T)) > 1e-10:
-            raise NotAntiHermitianError("inputs must be anti-Hermitian")
+        _check_anti_hermitian(op.matrix)
     if a.dim != b.dim:
         raise DimMismatchError("dims differ")
     herm = 1j * a.matrix

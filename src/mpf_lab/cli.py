@@ -42,71 +42,9 @@ class RunConfig:
 
     command: str
     params: dict
-    seed: int
     output_path: str | None
 
 
-# Each subcommand's options: underscored long name -> (type, default,
-# choices, help). The parser is built from these tables and --config values
-# pass the same type and choice checks as flags. A None default means
-# "must be provided" only where validation below says so.
-_COMMON = {
-    "seed": (int, 0, None, None),
-    "output": (str, None, None, "write here instead of stdout"),
-    "config": (str, None, None, "JSON file with these options"),
-}
-_MODEL = {
-    "model": (str, "heisenberg", ("heisenberg", "power_law", "commuting"), None),
-    "model_file": (str, None, None, "model JSON file"),
-    "n": (int, 3, None, None),
-    "periodic": (bool, True, None, None),
-    "d": (int, 1, None, None),
-    "alpha": (float, 1.0, None, None),
-}
-_COMMANDS = {
-    "scheme": ("solve the order condition", {
-        "m": (int, None, None, None),
-        "base": (int, 2, None, None),
-        "strategy": (str, "natural", ("natural", "min_a_norm"), None),
-        **_COMMON,
-    }),
-    "commutators": ("alpha table and mu report", {
-        **_MODEL,
-        "m": (int, 1, None, None),
-        "j_cap": (int, None, None, None),
-        "variant": (str, "second_order", None, None),
-        "budget": (int, commutators.DEFAULT_BUDGET, None, None),
-        "method": (str, "pauli", ("auto", "pauli", "dense"), None),
-        "allow_capped": (bool, False, None, None),
-        **_COMMON,
-    }),
-    "convergence": ("one-step order study", {
-        **_MODEL,
-        "evolver": (str, "u2", ("u1", "u2", "u2p", "mpf"), None),
-        "p": (int, None, None, None),
-        "m": (int, 1, None, None),
-        "dt_grid": (str, None, None, "comma-separated steps"),
-        "points": (int, 6, None, None),
-        "ratio": (float, 2.0, None, None),
-        "start": (float, 0.8, None, None),
-        **_COMMON,
-    }),
-    "benchmark": ("chain-length scaling benchmark", {
-        "n_list": (str, "", None, "comma-separated lengths"),
-        "m_list": (str, "1,2,3,4,5", None, "comma-separated half-orders"),
-        "eps": (float, 1e-3, None, None),
-        "format": (str, "csv", ("csv", "json"), None),
-        "theory_only": (bool, False, None, None),
-        "periodic": (bool, True, None, None),
-        **_COMMON,
-    }),
-    "bch-verify": ("expansion terms and bounds", {
-        **_MODEL,
-        "k_max": (int, 5, None, None),
-        "s": (float, 0.05, None, None),
-        **_COMMON,
-    }),
-}
 _JSON_TYPES = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string"
 }
@@ -118,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for multi-product formula simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _COMMANDS.items():
+    for command, (_, summary, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name, (kind, _, choices, text) in options.items():
             flag = "--" + name.replace("_", "-")
@@ -143,7 +81,7 @@ def _config_value(key: str, value, kind, choices):
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    options = _COMMANDS[command][1]
+    options = _COMMANDS[command][2]
     file_values = {}
     if args.config is not None:
         try:
@@ -162,10 +100,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             default = _config_value(key, file_values[key], kind, choices)
         cli_value = getattr(args, key)
         params[key] = default if cli_value is None else cli_value
-    seed = params.pop("seed")
     output = params.pop("output")
     params.pop("config")
-    return RunConfig(command, params, seed, output)
+    return RunConfig(command, params, output)
 
 
 def _build_model(config: RunConfig) -> HamiltonianSum:
@@ -174,13 +111,13 @@ def _build_model(config: RunConfig) -> HamiltonianSum:
         try:
             with open(p["model_file"], "r", encoding="utf-8") as fh:
                 return from_model_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load model file: {exc}") from exc
     n = p["n"]
     if p["model"] == "heisenberg":
         return heisenberg_1d(n, periodic=p["periodic"])
     if p["model"] == "power_law":
-        return power_law_lattice(n, p["d"], p["alpha"], config.seed)
+        return power_law_lattice(n, p["d"], p["alpha"], p["seed"])
     if n < 1:
         raise UsageError("commuting model needs n >= 1")
     terms = [PauliTerm(n, 1.0, {i: "Z"}) for i in range(n)]
@@ -197,9 +134,15 @@ def cmd_scheme(config: RunConfig) -> str:
         raise UsageError("scheme needs --m")
     powers = mpf.power_schedule(p["m"], p["strategy"], p["base"])
     scheme = mpf.solve_order_condition(powers, p["m"], p["base"])
-    body = json.loads(mpf.scheme_to_json(scheme))
-    body["residual"] = scheme.residual()
-    return _dump(body)
+    return _dump({
+        "base_order": scheme.base_order,
+        "m": scheme.half_order,
+        "powers": list(scheme.powers),
+        "coefficients": list(scheme.coefficients),
+        "a_norm": scheme.a_norm,
+        "k_norm": scheme.k_norm,
+        "residual": scheme.residual(),
+    })
 
 
 def cmd_commutators(config: RunConfig) -> str:
@@ -210,22 +153,20 @@ def cmd_commutators(config: RunConfig) -> str:
         raise UsageError("m must be >= 1")
     j_cap = p["j_cap"] if p["j_cap"] is not None else 2 * m + 8
     h = _build_model(config)
-    # "auto" is kept as a spelling of the Pauli DP, the only fast path
-    method = "pauli" if p["method"] == "auto" else p["method"]
-    table = commutators.build_table(h, j_cap + 1, budget=p["budget"], method=method)
+    table = commutators.build_table(h, j_cap + 1, budget=p["budget"])
     if table.mode == "capped" and not p["allow_capped"]:
         raise commutators.BudgetExceededError(
             "table is capped; pass --allow-capped to accept the envelope"
         )
     report = commutators.mu_m(table, m, j_cap=j_cap, variant=p["variant"])
     radius = commutators.convergence_radius(table)
-    body = {
-        "table": json.loads(commutators.table_to_json(table)),
+    alpha = {str(j): a for j, a in table.alpha.items()}
+    return _dump({
+        "table": {**asdict(table), "alpha": alpha},
         "mu": asdict(report),
         # strict JSON has no Infinity; a commuting family has no finite radius
         "radius": radius if math.isfinite(radius) else None,
-    }
-    return _dump(body)
+    })
 
 
 def _parse_grid(text: str) -> tuple:
@@ -331,12 +272,65 @@ def cmd_bch_verify(config: RunConfig) -> str:
     return _dump(body)
 
 
-_DISPATCH = {
-    "scheme": cmd_scheme,
-    "commutators": cmd_commutators,
-    "convergence": cmd_convergence,
-    "benchmark": cmd_benchmark,
-    "bch-verify": cmd_bch_verify,
+# Each subcommand's handler, help line and options: underscored long name
+# -> (type, default, choices, help). The parser is built from these tables
+# and --config values pass the same type and choice checks as flags. A None
+# default means "must be provided" only where a handler above says so.
+_COMMON = {
+    "output": (str, None, None, "write here instead of stdout"),
+    "config": (str, None, None, "JSON file with these options"),
+}
+_MODEL = {
+    "model": (str, "heisenberg", ("heisenberg", "power_law", "commuting"), None),
+    "model_file": (str, None, None, "model JSON file"),
+    "n": (int, 3, None, None),
+    "periodic": (bool, True, None, None),
+    "d": (int, 1, None, None),
+    "alpha": (float, 1.0, None, None),
+    "seed": (int, 0, None, None),
+}
+_COMMANDS = {
+    "scheme": (cmd_scheme, "solve the order condition", {
+        "m": (int, None, None, None),
+        "base": (int, 2, None, None),
+        "strategy": (str, "natural", ("natural", "min_a_norm"), None),
+        **_COMMON,
+    }),
+    "commutators": (cmd_commutators, "alpha table and mu report", {
+        **_MODEL,
+        "m": (int, 1, None, None),
+        "j_cap": (int, None, None, None),
+        "variant": (str, "second_order", None, None),
+        "budget": (int, commutators.DEFAULT_BUDGET, None, None),
+        "allow_capped": (bool, False, None, None),
+        **_COMMON,
+    }),
+    "convergence": (cmd_convergence, "one-step order study", {
+        **_MODEL,
+        "evolver": (str, "u2", ("u1", "u2", "u2p", "mpf"), None),
+        "p": (int, None, None, None),
+        "m": (int, 1, None, None),
+        "dt_grid": (str, None, None, "comma-separated steps"),
+        "points": (int, 6, None, None),
+        "ratio": (float, 2.0, None, None),
+        "start": (float, 0.8, None, None),
+        **_COMMON,
+    }),
+    "benchmark": (cmd_benchmark, "chain-length scaling benchmark", {
+        "n_list": (str, "", None, "comma-separated lengths"),
+        "m_list": (str, "1,2,3,4,5", None, "comma-separated half-orders"),
+        "eps": (float, 1e-3, None, None),
+        "format": (str, "csv", ("csv", "json"), None),
+        "theory_only": (bool, False, None, None),
+        "periodic": (bool, True, None, None),
+        **_COMMON,
+    }),
+    "bch-verify": (cmd_bch_verify, "expansion terms and bounds", {
+        **_MODEL,
+        "k_max": (int, 5, None, None),
+        "s": (float, 0.05, None, None),
+        **_COMMON,
+    }),
 }
 
 
@@ -345,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        output = _DISPATCH[config.command](config)
+        output = _COMMANDS[config.command][0](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -363,11 +357,15 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_path:
+    if not config.output_path:
+        sys.stdout.write(output)
+        return 0
+    try:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(output)
-    else:
-        sys.stdout.write(output)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -22,7 +22,6 @@ enumerating compositions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +41,6 @@ __all__ = [
     "convergence_radius",
     "lambda_jl",
     "mu_m",
-    "table_to_json",
 ]
 
 DEFAULT_BUDGET = 10**7
@@ -50,8 +48,8 @@ PARTITION_J_CAP = 24
 
 
 class BudgetExceededError(ValueError):
-    """An alpha depth lies past the work budget (strict mode, or a capped
-    table the caller refuses)."""
+    """An alpha depth lies past the work budget and the caller refuses the
+    capped table."""
 
 
 class MissingAlphaError(KeyError):
@@ -125,18 +123,18 @@ class MuReport:
     j_cap: int
 
 
-def _variant_base(variant) -> int:
-    if variant == "first_order" or variant == 1:
+def _variant_base(variant: str) -> int:
+    if variant == "first_order":
         return 1
-    if variant == "second_order" or variant == 2:
+    if variant == "second_order":
         return 2
     if isinstance(variant, str) and variant.startswith("order_"):
         try:
-            variant = int(variant[6:])
+            base = int(variant[6:])
         except ValueError:
-            raise ValueError(f"unknown variant {variant!r}") from None
-    if isinstance(variant, int) and variant >= 4 and variant % 2 == 0:
-        return variant
+            base = 0
+        if base >= 4 and base % 2 == 0:
+            return base
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -210,7 +208,6 @@ def alpha_comm(
     j: int,
     budget: int = DEFAULT_BUDGET,
     method: str = "pauli",
-    strict: bool = False,
 ) -> AlphaEstimate:
     """Sum of depth-j nested-commutator norms over all Gamma^j tuples.
 
@@ -219,25 +216,18 @@ def alpha_comm(
     `budget` bounds the work: DP work units (Gamma * |frontier| per
     depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
     past the budget is returned flagged "capped", as the upper bound
-    alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth j0 (or
-    BudgetExceededError is raised when strict).
+    alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth j0.
     """
-    est = _estimates(h, j, budget, method)[-1]
-    if strict and est.mode == "capped":
-        raise BudgetExceededError(f"depth {j} is beyond the budget of {budget}")
-    return est
+    return _estimates(h, j, budget, method)[-1]
 
 
 def build_table(
-    h: HamiltonianSum,
-    depth: int,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "pauli",
+    h: HamiltonianSum, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CommutatorTable:
-    """alpha table for depths 1..depth from one DP run (kept by the model,
-    see HamiltonianSum.commutator_weights, and read by alpha_comm too);
-    mode "capped" if any entry is the upper bound past the budget."""
-    estimates = _estimates(h, depth, budget, method)
+    """alpha table for depths 1..depth from one Pauli DP run (kept by the
+    model, see HamiltonianSum.commutator_weights, and read by alpha_comm
+    too); mode "capped" if any entry is the upper bound past the budget."""
+    estimates = _estimates(h, depth, budget, "pauli")
     mode = "exact" if all(e.mode == "exact" for e in estimates) else "capped"
     return CommutatorTable(
         gamma=h.gamma,
@@ -245,16 +235,6 @@ def build_table(
         j_cap=depth,
         alpha={e.j: e.value for e in estimates},
     )
-
-
-def table_to_json(table: CommutatorTable) -> str:
-    body = {
-        "gamma": table.gamma,
-        "mode": table.mode,
-        "j_cap": table.j_cap,
-        "alpha": {str(j): table.alpha[j] for j in sorted(table.alpha)},
-    }
-    return json.dumps(body, indent=2, sort_keys=True)
 
 
 # --- lambda and mu -------------------------------------------------------

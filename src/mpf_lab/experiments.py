@@ -133,6 +133,11 @@ def exact_evolution(h: HamiltonianSum, t: float) -> DenseOperator:
     return DenseOperator((v * np.exp(-1j * t * w)) @ v.conj().T)
 
 
+def _step_error(h: HamiltonianSum, step: DenseOperator, t: float) -> float:
+    """||step - exp(-iHt)||, the error every study and bound reports."""
+    return float(spectral_norm(step.matrix - exact_evolution(h, t).matrix))
+
+
 def _one_step(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> DenseOperator:
     if evolver == "u1":
         return trotter_u1(h, dt)
@@ -175,11 +180,7 @@ def default_dt_grid(
         raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
     top = start
     for _ in range(60):
-        err = spectral_norm(
-            _one_step(h, top, evolver, p, scheme).matrix
-            - exact_evolution(h, top).matrix
-        )
-        if err < 0.1:
+        if _step_error(h, _one_step(h, top, evolver, p, scheme), top) < 0.1:
             break
         top /= 2.0
     return tuple(top * ratio**-i for i in range(points))
@@ -206,12 +207,7 @@ def convergence_study(
         a <= b for a, b in zip(grid, grid[1:])
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
-    errors = []
-    for dt in grid:
-        step = _one_step(h, dt, evolver, p, scheme)
-        errors.append(
-            float(spectral_norm(step.matrix - exact_evolution(h, dt).matrix))
-        )
+    errors = [_step_error(h, _one_step(h, dt, evolver, p, scheme), dt) for dt in grid]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
     if not usable:
         return ConvergenceStudy(grid, tuple(errors), 0.0, 0.0, True)
@@ -287,11 +283,7 @@ def error_bound_evaluate(
         truncation_depth=j_cap,
         tail_clear=tail_clear,
     )
-    u_mp = mpf_operator(h, delta, scheme)
-    measured = float(
-        spectral_norm(u_mp.matrix - exact_evolution(h, delta).matrix)
-    )
-    return budget, measured
+    return budget, _step_error(h, mpf_operator(h, delta, scheme), delta)
 
 
 def _powered_error(
@@ -400,11 +392,10 @@ def heisenberg_benchmark(
     n_list,
     m_list,
     eps: float,
-    t_rule: str = "T=n",
     periodic: bool = True,
 ) -> list:
-    """Minimal-segment query counts for periodic spin chains, fitted
-    against chain length per m.
+    """Minimal-segment query counts for spin chains over total time
+    T = n, fitted against chain length per m.
 
     Each chain is built once for every m: its exact evolution, and one
     exact commutator table deep enough for the largest m. The search for
@@ -413,8 +404,6 @@ def heisenberg_benchmark(
     the evaluated points flags the cell and the search is retried once,
     seeded at 4r.
     """
-    if t_rule != "T=n":
-        raise ValueError("only the T=n rule is implemented")
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 3:
         raise ValueError("need at least 3 chain lengths")

@@ -230,52 +230,88 @@ def one_norm(h: HamiltonianSum) -> float:
     return float(sum(t.norm for t in h.terms))
 
 
-def to_model_json(h: HamiltonianSum, meta: dict | None = None) -> str:
-    """Serialize as a model descriptor; round-trips losslessly."""
-    body: dict = {"model": "custom", "n": h.n_qubits}
-    if meta:
-        body.update(meta)
-    body["terms"] = [
+def to_model_json(h: HamiltonianSum) -> str:
+    """Serialize as the model file's term list; round-trips losslessly."""
+    body: dict = {"model": "custom", "n": h.n_qubits, "terms": [
         {
             "n_qubits": t.n_qubits,
             "coefficient": t.coefficient,
             "paulis": {str(k): v for k, v in sorted(t.paulis.items())},
         }
         for t in h.terms
-    ]
+    ]}
     if h.grouping is not None:
         body["grouping"] = [list(g) for g in h.grouping]
     return json.dumps(body, indent=2, sort_keys=True)
 
 
-def from_model_json(text: str) -> HamiltonianSum:
-    """Build a HamiltonianSum from a model descriptor.
+_JSON_KINDS = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
 
-    Named models (``heisenberg1d``, ``power_law``) are rebuilt from their
-    parameters; ``custom`` models carry explicit terms.
+
+def _field(body: dict, key: str, kind, where: str):
+    """body[key] if it has the JSON kind asked for: an integer is widened
+    where a number is asked for, and true/false is neither."""
+    if key not in body:
+        raise ValueError(f"{where} has no {key!r}")
+    value = body[key]
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _object(value, keys: tuple, where: str) -> dict:
+    """value if it is a JSON object with no key outside keys."""
+    if type(value) is not dict:
+        raise ValueError(f"{where} must be an object, got {json.dumps(value)}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
+def _site(key: str) -> int:
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError(f"paulis site must be a qubit index, got {json.dumps(key)}")
+    return int(key)
+
+
+def from_model_json(text: str) -> HamiltonianSum:
+    """Build a HamiltonianSum from the term list to_model_json writes.
+
+    ``model`` is absent or ``"custom"``; ``n`` and every term's ``n_qubits``
+    are JSON integers, ``coefficient`` a number, ``paulis`` an object from
+    qubit index to letter, and the optional ``grouping`` one list of
+    integer labels per term. Every field is checked, none is cast.
+
+    Raises:
+        ValueError: Naming the first field that is missing, unknown or of
+            another kind.
     """
     body = json.loads(text)
-    kind = body.get("model", "custom")
-    if kind == "heisenberg1d":
-        return heisenberg_1d(int(body["n"]), bool(body.get("periodic", True)))
-    if kind == "power_law":
-        return power_law_lattice(
-            int(body["n"]),
-            int(body.get("d", 1)),
-            float(body.get("alpha", 0.0)),
-            int(body.get("seed", 0)),
+    if type(body) is dict and body.get("model", "custom") != "custom":
+        raise ValueError(
+            f"model must be \"custom\" (a term list), got {json.dumps(body['model'])}"
         )
-    if kind != "custom":
-        raise ValueError(f"unknown model kind {kind!r}")
-    terms = tuple(
-        PauliTerm(
-            int(spec["n_qubits"]),
-            float(spec["coefficient"]),
-            {int(k): str(v) for k, v in spec["paulis"].items()},
+    body = _object(body, ("model", "n", "terms", "grouping"), "model")
+    terms = []
+    for spec in _field(body, "terms", list, "model"):
+        spec = _object(spec, ("n_qubits", "coefficient", "paulis"), "term")
+        terms.append(
+            PauliTerm(
+                _field(spec, "n_qubits", int, "term"),
+                _field(spec, "coefficient", float, "term"),
+                {_site(k): v for k, v in _field(spec, "paulis", dict, "term").items()},
+            )
         )
-        for spec in body["terms"]
-    )
     grouping = None
     if "grouping" in body:
-        grouping = tuple(tuple(g) for g in body["grouping"])
-    return HamiltonianSum(int(body["n"]), terms, grouping)
+        grouping = _field(body, "grouping", list, "model")
+        for labels in grouping:
+            if type(labels) is not list or any(type(q) is not int for q in labels):
+                raise ValueError(
+                    "grouping entry must be a list of integers, "
+                    f"got {json.dumps(labels)}"
+                )
+    return HamiltonianSum(_field(body, "n", int, "model"), tuple(terms), grouping)

@@ -10,7 +10,6 @@ is always observable through ||a||_1 and ||k||_1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ __all__ = [
     "power_schedule",
     "query_count",
     "required_steps",
-    "scheme_to_json",
     "solve_order_condition",
 ]
 
@@ -241,16 +239,3 @@ def query_count(r: int, scheme: MpfScheme, include_amplification: bool = False) 
     if include_amplification:
         q *= math.ceil(scheme.a_norm)
     return float(q)
-
-
-def scheme_to_json(scheme: MpfScheme) -> str:
-    body = {
-        "base_order": scheme.base_order,
-        "m": scheme.half_order,
-        "powers": list(scheme.powers),
-        "coefficients": list(scheme.coefficients),
-        "a_norm": scheme.a_norm,
-        "k_norm": scheme.k_norm,
-    }
-    return json.dumps(body, indent=2, sort_keys=True)
-

@@ -68,6 +68,14 @@ class DenseOperator:
         return self.matrix.shape[0]
 
 
+def _check_anti_hermitian(a: np.ndarray) -> None:
+    """The entrywise check: a + a^dagger within STRUCTURAL_TOL of zero."""
+    if np.max(np.abs(a + a.conj().T)) > STRUCTURAL_TOL:
+        raise NotAntiHermitianError(
+            f"input is not anti-Hermitian within {STRUCTURAL_TOL:g}"
+        )
+
+
 def _expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
     """exp of an anti-Hermitian array via eigendecomposition of i*a.
 
@@ -87,7 +95,8 @@ def matrix_exponential(a: DenseOperator) -> DenseOperator:
     built on top relies on the reference exponential not drifting.
 
     Args:
-        a: Anti-Hermitian operator (entrywise deviation at most 1e-10).
+        a: Anti-Hermitian operator (entrywise deviation at most
+            STRUCTURAL_TOL).
 
     Returns:
         ``exp(A)``.
@@ -102,10 +111,8 @@ def matrix_exponential(a: DenseOperator) -> DenseOperator:
         >>> np.allclose(u.matrix, np.diag([-1j, 1j]))
         True
     """
-    m = a.matrix
-    if np.max(np.abs(m + m.conj().T)) > STRUCTURAL_TOL:
-        raise NotAntiHermitianError("input is not anti-Hermitian within 1e-10")
-    return DenseOperator(_expm_anti_hermitian(m))
+    _check_anti_hermitian(a.matrix)
+    return DenseOperator(_expm_anti_hermitian(a.matrix))
 
 
 def spectral_norm(a: DenseOperator | np.ndarray) -> float:

@@ -45,6 +45,26 @@ def fit_loglog(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
 
+def z_model(term=None, **body):
+    """A one-term custom model file body, with fields overridden."""
+    spec = {"n_qubits": 2, "coefficient": 1.0, "paulis": {"0": "Z"}, **(term or {})}
+    return {"model": "custom", "n": 2, "terms": [spec], **body}
+
+
+# (model file body, the field its error names): a kind that is not the
+# term list, fields of the wrong JSON kind, then malformed shapes
+BAD_MODEL_FILES = [
+    ({"model": "heisenberg1d", "n": 4, "periodic": "false"}, "model"),
+    (z_model(n=2.0), "n"),
+    (z_model({"coefficient": "1.5"}), "coefficient"),
+    (z_model({"coefficient": True}), "coefficient"),
+    ([1], "model"),
+    (z_model(terms=5), "terms"),
+    (z_model({"paulis": ["Z"]}), "paulis"),
+    (z_model(grouping=7), "grouping"),
+]
+
+
 def rand_anti_hermitian(rng, dim, norm=None):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = (a - a.conj().T) / 2

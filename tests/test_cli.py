@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BAD_MODEL_FILES
 from mpf_lab import bch, pauli
 from mpf_lab.cli import main
-from mpf_lab.commutators import build_table, table_to_json
+from mpf_lab.commutators import build_table
 from mpf_lab.hamiltonians import (
     heisenberg_1d,
     one_norm,
@@ -55,13 +56,14 @@ class TestCommutators:
         code, out, _ = run("commutators", "--model", "heisenberg", "--n", "4", "--j-cap", "6")
         assert code == 0
         body = json.loads(out)
-        assert body["table"] == json.loads(table_to_json(build_table(heisenberg_1d(4), 7)))
+        table = build_table(heisenberg_1d(4), 7)
+        assert (body["table"]["gamma"], body["table"]["mode"], body["table"]["j_cap"]) == (
+            table.gamma, table.mode, table.j_cap
+        )
+        assert {int(j): a for j, a in body["table"]["alpha"].items()} == table.alpha
         assert body["mu"]["mu_m"] > 0
         assert body["mu"]["j_cap"] == 6
         assert body["radius"] > 0
-        # "auto" is accepted as a spelling of the Pauli path
-        auto = run("commutators", "--model", "heisenberg", "--n", "4", "--j-cap", "6", "--method", "auto")
-        assert auto[:2] == (0, out)
 
     def test_commuting_model(self, run):
         code, out, _ = run("commutators", "--model", "commuting", "--n", "3")
@@ -302,7 +304,7 @@ class TestConfigAndIo:
         values = {
             "model": model, "n": 4, "periodic": False, "d": 1, "alpha": 2,
             "m": 2, "j_cap": 6, "variant": "first_order", "budget": 10**6,
-            "method": "auto", "allow_capped": False, "seed": 7,
+            "allow_capped": False, "seed": 7,
             "output": str(tmp_path / "from_config.json"),
         }
         cfg = tmp_path / "cfg.json"
@@ -310,7 +312,7 @@ class TestConfigAndIo:
         assert run("commutators", "--config", str(cfg)) == (0, "", "")
         flags = ("--model", model, "--n", "4", "--no-periodic", "--d", "1", "--alpha", "2",
                  "--m", "2", "--j-cap", "6", "--variant", "first_order", "--budget", "1000000",
-                 "--method", "auto", "--no-allow-capped", "--seed", "7",
+                 "--no-allow-capped", "--seed", "7",
                  "--output", str(tmp_path / "from_flags.json"))
         assert run("commutators", *flags) == (0, "", "")
         text = (tmp_path / "from_config.json").read_text()
@@ -324,6 +326,29 @@ class TestConfigAndIo:
         code, out, err = run(command, "--model-file", str(path))
         assert code == 2 and out == ""
         assert "3 qubits in a 2-qubit sum" in err
+
+    @pytest.mark.parametrize("argv, model, message", [
+        (("scheme", "--m", "2", "--seed", "3"), None, "unrecognized arguments: --seed"),
+        (("benchmark", "--theory-only", "--seed", "3"), None, "unrecognized arguments: --seed"),
+        (("commutators", "--method", "pauli"), None, "unrecognized arguments: --method"),
+        *[(("commutators",), body, "cannot load model file") for body, _ in BAD_MODEL_FILES],
+        (("scheme", "--m", "2", "--output", "{tmp}/no/such/dir/x.json"), None,
+         "cannot write output"),
+        (("scheme", "--m", "2", "--output", "{tmp}"), None, "cannot write output"),
+    ])
+    def test_exits_2_with_empty_stdout(self, capsys, tmp_path, argv, model, message):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if model is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            argv += ["--model-file", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown option
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
     def test_output_file(self, run, tmp_path):
         ref = run("scheme", "--m", "2")[1]

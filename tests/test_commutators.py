@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import nested_commutator
 from mpf_lab.commutators import (
-    BudgetExceededError,
     CommutatorTable,
     MissingAlphaError,
     PartitionBlowupError,
@@ -17,7 +15,6 @@ from mpf_lab.commutators import (
     convergence_radius,
     lambda_jl,
     mu_m,
-    table_to_json,
 )
 from mpf_lab.hamiltonians import (
     HamiltonianSum,
@@ -79,8 +76,6 @@ def test_pauli_and_dense_paths_agree(j, xz1):
 
 
 def test_alpha_budget_and_capped_envelope(heis3):
-    with pytest.raises(BudgetExceededError):
-        alpha_comm(heis3, 4, budget=10, strict=True)
     est = alpha_comm(heis3, 4, budget=10)
     assert est.mode == "capped"
     envelope = one_norm(heis3) * (2 * one_norm(heis3)) ** 3
@@ -136,9 +131,8 @@ def test_table_construction_and_json(heis3):
     table = build_table(heis3, 5)
     assert table.alpha[1] == pytest.approx(one_norm(heis3))
     assert table.gamma == heis3.gamma
-    body = json.loads(table_to_json(table))
-    assert (body["gamma"], body["mode"], body["j_cap"]) == (table.gamma, table.mode, 5)
-    assert {int(j): v for j, v in body["alpha"].items()} == table.alpha
+    assert (table.mode, table.j_cap) == ("exact", 5)
+    assert sorted(table.alpha) == [1, 2, 3, 4, 5]
 
 
 def test_table_validation():
@@ -318,8 +312,10 @@ def test_variant_monotonicity(xz1, heis3):
 
 def test_variant_parsing(xz1):
     table = build_table(xz1, 6)
-    assert mu_m(table, 1, j_cap=4, variant=2).variant == "second_order"
+    assert mu_m(table, 1, j_cap=4, variant="second_order").variant == "second_order"
     assert mu_m(table, 1, j_cap=4, variant="first_order").variant == "first_order"
+    with pytest.raises(ValueError):
+        mu_m(table, 1, j_cap=4, variant=2)  # variants are named, not numbered
     with pytest.raises(ValueError):
         mu_m(table, 1, j_cap=4, variant="order_3")
 

@@ -238,8 +238,6 @@ class TestBenchmark:
             heisenberg_benchmark((3, 4), (1,), eps=0.05)
         with pytest.raises(ValueError):
             heisenberg_benchmark((3, 4, 5), (1,), eps=1.5)
-        with pytest.raises(ValueError):
-            heisenberg_benchmark((3, 4, 5), (1,), eps=0.05, t_rule="T=n^2")
 
     def test_infeasible_search_cap(self, monkeypatch):
         monkeypatch.setattr(experiments, "R_CAP", 4)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_sum
+from conftest import BAD_MODEL_FILES, dense_sum, z_model
 from mpf_lab.hamiltonians import (
     HamiltonianSum,
     NotLatticeError,
@@ -142,6 +144,21 @@ def test_model_json_round_trips(xz1):
         back = from_model_json(to_model_json(h))
         assert to_model_json(back) == to_model_json(h)
         assert np.allclose(back.dense(), h.dense(), atol=1e-14)
+
+
+@pytest.mark.parametrize("body, field", [
+    *BAD_MODEL_FILES,
+    (z_model({"n_qubits": 2.0}), "n_qubits"),
+    (z_model({"paulis": {"a": "Z"}}), "paulis site"),
+    (z_model(alpha=2.0), "model keys"),
+    (z_model({"weight": 1}), "term keys"),
+    (z_model(terms=[5]), "term must be an object"),
+    (z_model(grouping=[[0.5]]), "grouping"),
+    ({"n": 2}, "terms"),
+])
+def test_model_file_fields_are_checked_not_cast(body, field):
+    with pytest.raises(ValueError, match=field):
+        from_model_json(json.dumps(body))
 
 
 def test_sum_rejects_terms_of_another_width():
