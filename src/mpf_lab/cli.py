@@ -3,9 +3,10 @@
 Subcommands: scheme, commutators, convergence, benchmark, bch-verify.
 Flags can also be supplied through --config (a JSON object with the same
 long option names, underscores for dashes); explicit flags win over config
-values, config values win over defaults, and unknown config keys or values
-the flag would not accept are usage errors. Exit codes: 0 success,
-2 usage, 3 resource or budget, 4 numeric premise violation.
+values, config values win over defaults. Unknown config keys, values the
+flag would not accept and options, given by flag or config key, that the
+run would not read are usage errors. Exit codes: 0 success, 2 usage,
+3 resource or budget, 4 numeric premise violation.
 
 All outputs are deterministic byte-for-byte for a fixed configuration:
 reductions are ordered sums and serialization sorts its keys, so repeated
@@ -94,15 +95,47 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    params = {}
+    params, given = {}, {}
     for key, (kind, default, choices, _) in options.items():
         if key in file_values:
             default = _config_value(key, file_values[key], kind, choices)
+            given[key] = f"config key {key}"
         cli_value = getattr(args, key)
+        if cli_value is not None:
+            given[key] = "--" + key.replace("_", "-")
         params[key] = default if cli_value is None else cli_value
+    unread = sorted(given[key] for key in _unread(command, params) if key in given)
+    if unread:
+        raise UsageError(f"not read by this run: {', '.join(unread)}")
     output = params.pop("output")
     params.pop("config")
     return RunConfig(command, params, output)
+
+
+# the model options each built-in model reads; a model file reads none
+_MODEL_READS = {
+    "heisenberg": {"n", "periodic"},
+    "power_law": {"n", "d", "alpha", "seed"},
+    "commuting": {"n"},
+}
+
+
+def _unread(command: str, p: dict) -> set:
+    """The options a run with these values does not read."""
+    unread = set()
+    if "model" in p:
+        reads = {"model_file"} if p["model_file"] else {"model", *_MODEL_READS[p["model"]]}
+        unread |= set(_MODEL) - reads
+    if command == "convergence":
+        if p["dt_grid"]:
+            unread |= {"points", "ratio", "start"}
+        if p["evolver"] != "mpf":
+            unread.add("m")
+        if p["evolver"] != "u2p":
+            unread.add("p")
+    if command == "benchmark" and p["theory_only"]:
+        unread |= {"n_list", "eps", "format", "periodic"}
+    return unread
 
 
 def _build_model(config: RunConfig) -> HamiltonianSum:

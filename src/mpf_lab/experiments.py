@@ -1,6 +1,13 @@
 """Convergence studies, error-bound evaluation, and the spin-chain
 scaling benchmark.
 
+Every error is a spectral norm ||V - exp(-iHt)|| of a formula or
+multi-product operator V, measured sector by sector: each term of H
+commutes with H's Pauli symmetries, so V and exp(-iHt) are block diagonal
+in their joint eigenspaces (HamiltonianSum.sectors) and the norm is the
+largest block norm, exactly. The error paths never form a full-space
+product.
+
 The benchmark measures, for each chain length, the minimal segment count r
 for which the powered multi-product step meets the target accuracy over
 total time T = n, then fits the query count r * ||k||_1 against n on a
@@ -133,9 +140,15 @@ def exact_evolution(h: HamiltonianSum, t: float) -> DenseOperator:
     return DenseOperator((v * np.exp(-1j * t * w)) @ v.conj().T)
 
 
-def _step_error(h: HamiltonianSum, step: DenseOperator, t: float) -> float:
-    """||step - exp(-iHt)||, the error every study and bound reports."""
-    return float(spectral_norm(step.matrix - exact_evolution(h, t).matrix))
+def _step_error(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> float:
+    """||U(dt) - exp(-iH dt)|| of one evolver step, the error every study
+    and bound reports: the largest error over h.sectors."""
+    return max(
+        float(spectral_norm(
+            _one_step(s, dt, evolver, p, scheme).matrix - exact_evolution(s, dt).matrix
+        ))
+        for s in h.sectors
+    )
 
 
 def _one_step(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> DenseOperator:
@@ -180,7 +193,7 @@ def default_dt_grid(
         raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
     top = start
     for _ in range(60):
-        if _step_error(h, _one_step(h, top, evolver, p, scheme), top) < 0.1:
+        if _step_error(h, top, evolver, p, scheme) < 0.1:
             break
         top /= 2.0
     return tuple(top * ratio**-i for i in range(points))
@@ -207,7 +220,7 @@ def convergence_study(
         a <= b for a, b in zip(grid, grid[1:])
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
-    errors = [_step_error(h, _one_step(h, dt, evolver, p, scheme), dt) for dt in grid]
+    errors = [_step_error(h, dt, evolver, p, scheme) for dt in grid]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
     if not usable:
         return ConvergenceStudy(grid, tuple(errors), 0.0, 0.0, True)
@@ -283,13 +296,18 @@ def error_bound_evaluate(
         truncation_depth=j_cap,
         tail_clear=tail_clear,
     )
-    return budget, _step_error(h, mpf_operator(h, delta, scheme), delta)
+    return budget, _step_error(h, delta, "mpf", None, scheme)
 
 
 def _powered_error(
-    h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, target: np.ndarray
+    h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, targets: tuple
 ) -> float:
-    return float(spectral_norm(mpf_evolve(h, big_t, r, scheme).matrix - target))
+    """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.sectors,
+    targets holding each sector's exp(-iHT) in sector order."""
+    return max(
+        float(spectral_norm(mpf_evolve(s, big_t, r, scheme).matrix - target))
+        for s, target in zip(h.sectors, targets)
+    )
 
 
 def _minimal_r(
@@ -297,13 +315,13 @@ def _minimal_r(
     big_t: float,
     eps: float,
     scheme: MpfScheme,
-    target: np.ndarray,
+    targets: tuple,
     r_hint: int,
 ) -> tuple:
     """Smallest r with powered-step error <= eps, by the law-guided search
     seeded at r_hint; returns (r, error, evaluations dict)."""
     return _search_minimal_r(
-        lambda r: _powered_error(h, big_t, r, scheme, target),
+        lambda r: _powered_error(h, big_t, r, scheme, targets),
         eps,
         r_hint,
         2 * scheme.half_order,
@@ -381,6 +399,10 @@ def _predict_crossing(evals: dict, eps: float, order: int, r_cap: int) -> int:
 
 
 def _monotone(evals: dict) -> bool:
+    """Whether the errors fall with r over the evaluated points only (a
+    rise above 1e-6 relative, both errors above 1e-13, breaks it). The
+    points are the ones a search happened to probe, so the flag describes
+    that search path, not the error profile between or beyond them."""
     pts = sorted(evals.items())
     for (_, e1), (_, e2) in zip(pts, pts[1:]):
         if e1 > 1e-13 and e2 > 1e-13 and e2 > e1 * (1.0 + 1e-6):
@@ -397,10 +419,10 @@ def heisenberg_benchmark(
     """Minimal-segment query counts for spin chains over total time
     T = n, fitted against chain length per m.
 
-    Each chain is built once for every m: its exact evolution, and one
-    exact commutator table deep enough for the largest m. The search for
-    r (_search_minimal_r) is seeded at ceil(mu_hat * T) and predicts the
-    crossing from the r^-2m error law. A non-monotone error profile over
+    Each chain is built once for every m: the exact evolution of each of
+    its symmetry sectors, and one exact commutator table deep enough for
+    the largest m. The search for r (_search_minimal_r) is seeded at
+    ceil(mu_hat * T) and predicts the crossing from the r^-2m error law. A non-monotone error profile over
     the evaluated points flags the cell and the search is retried once,
     seeded at 4r.
     """
@@ -415,10 +437,10 @@ def heisenberg_benchmark(
     for n in n_values:
         h = heisenberg_1d(n, periodic=periodic)
         big_t = float(n)
-        target = exact_evolution(h, big_t).matrix
+        targets = tuple(exact_evolution(s, big_t).matrix for s in h.sectors)
         table = build_table(h, 2 * max(m_values) + 3, budget=10**8)
         for m in m_values:
-            cells[m].append(_benchmark_cell(h, big_t, eps, schemes[m], target, table))
+            cells[m].append(_benchmark_cell(h, big_t, eps, schemes[m], targets, table))
     results = []
     for m in m_values:
         exponent, _ = _loglog_fit(n_values, [c.queries for c in cells[m]])
@@ -440,18 +462,19 @@ def _benchmark_cell(
     big_t: float,
     eps: float,
     scheme: MpfScheme,
-    target: np.ndarray,
+    targets: tuple,
     table: CommutatorTable,
 ) -> BenchmarkCell:
-    """One (n, m) cell on the chain's shared target and commutator table."""
+    """One (n, m) cell on the chain's shared sector targets and commutator
+    table."""
     m = scheme.half_order
     hint = mu_m(table, m, j_cap=2 * m + 2).mu_m
     r_hint = max(1, math.ceil(hint * big_t)) if hint > 0 else 1
-    r, error, evals = _minimal_r(h, big_t, eps, scheme, target, r_hint)
+    r, error, evals = _minimal_r(h, big_t, eps, scheme, targets, r_hint)
     monotone = _monotone(evals)
     if not monotone:
         r2, error2, evals2 = _minimal_r(
-            h, big_t, eps, scheme, target, min(r * 4, R_CAP)
+            h, big_t, eps, scheme, targets, min(r * 4, R_CAP)
         )
         if r2 < r:
             r, error = r2, error2

@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+# A split into sectors below this dimension costs more in per-call overhead
+# than it saves in dense work. Measured on 2 vCPUs (numpy 2.4, OpenBLAS):
+# `convergence --model commuting --n 8` evaluates its errors in 0.19 s
+# unsplit, 0.028 s in sectors of dim 32, 0.035 s at 16 and 0.36 s at 1; the
+# Heisenberg n = 6 benchmark cells take 0.031 s at dim 32 and 0.043 s at 16,
+# the n = 4 cells 0.0067 s unsplit and 0.018 s at dim 4.
+MIN_SECTOR_DIM = 32
+
+
 class TooSmallError(ValueError):
     """System size below the builder's minimum."""
 
@@ -76,9 +85,9 @@ class HamiltonianSum:
     part of the model file format.
 
     The sum also owns every piece of per-model data the kernels reuse:
-    the terms' stage actions, the eigendecomposition of the dense sum and
-    the Pauli DP runs. Each is built on first use and lives as long as the
-    model does.
+    the terms' stage actions, the eigendecomposition of the dense sum, the
+    symmetry sectors and the Pauli DP runs. Each is built on first use and
+    lives as long as the model does.
     """
 
     n_qubits: int
@@ -124,6 +133,45 @@ class HamiltonianSum:
     def eigh(self) -> tuple:
         """(eigenvalues, eigenvectors) of the dense sum."""
         return np.linalg.eigh(self.dense())
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """The sum restricted to each joint eigenspace of its Pauli
+        symmetries, as sums on n - k qubits; (self,) when it has none.
+
+        The k symmetries are independent commuting strings that commute
+        with every term (pauli.symmetry_generators), the first of them as
+        far as the sectors stay at MIN_SECTOR_DIM or above, tapered off by
+        a Clifford map (pauli.taper). Sector c is the eigenspace where
+        symmetry i has eigenvalue (-1)^c_i. Every sector keeps the Gamma
+        terms in order, each with that eigenvalue pattern folded into its
+        coefficient's sign, and the grouping. Every term, so every formula
+        stage, and exp(-iHt) are block diagonal in the sectors, so the
+        norm of any combination of them is the largest sector norm.
+        """
+        strings = [t.masks() for t in self.terms]
+        generators = pauli.symmetry_generators(strings, self.n_qubits)
+        while generators and self.dim >> len(generators) < MIN_SECTOR_DIM:
+            generators.pop()
+        if not generators:
+            return (self,)
+        tapered = pauli.taper(strings, generators, self.n_qubits)
+        n = self.n_qubits - len(generators)
+        return tuple(
+            HamiltonianSum(
+                n,
+                tuple(
+                    PauliTerm(
+                        n,
+                        t.coefficient * sign * (-1) ** (c & flips).bit_count(),
+                        pauli.sites_from_masks(x, z),
+                    )
+                    for t, (x, z, sign, flips) in zip(self.terms, tapered)
+                ),
+                self.grouping,
+            )
+            for c in range(1 << len(generators))
+        )
 
     def term_matrices(self) -> list[np.ndarray]:
         """Dense matrices of the terms, built on every call."""

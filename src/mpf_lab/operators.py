@@ -119,7 +119,10 @@ def spectral_norm(a: DenseOperator | np.ndarray) -> float:
     """Largest singular value, via full SVD.
 
     Exact SVD is affordable at desk scale (dim <= 1024) and serves as the
-    verification anchor for every error measurement in the package.
+    verification anchor for every error measurement in the package. The
+    error paths call it once per symmetry sector of the model
+    (HamiltonianSum.sectors), so that bound is on the sector dimension:
+    a 12-qubit periodic chain splits into four sectors of dim 1024.
 
     Args:
         a: Square operator or raw 2-D array.

@@ -27,6 +27,11 @@ def dense_sum(h):
     return total
 
 
+def anticommute(a, b):
+    """Whether the Pauli strings with masks a = (x, z) and b anticommute."""
+    return ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) % 2 == 1
+
+
 def commutator(a, b):
     """[A, B] = AB - BA of dense arrays."""
     return a @ b - b @ a

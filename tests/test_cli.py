@@ -298,25 +298,62 @@ class TestConfigAndIo:
         assert code == 2 and out == ""
         assert key in err
 
-    @pytest.mark.parametrize("model", ["heisenberg", "power_law"])
-    def test_config_round_trips_every_commutators_option(self, run, tmp_path, model):
-        # model_file is left out: it replaces the model options
+    @pytest.mark.parametrize("model, model_values, model_flags", [
+        ("heisenberg", {"periodic": False}, ("--no-periodic",)),
+        ("power_law", {"d": 1, "alpha": 2, "seed": 7},
+         ("--d", "1", "--alpha", "2", "--seed", "7")),
+    ], ids=["heisenberg", "power_law"])
+    def test_config_round_trips_every_commutators_option(
+        self, run, tmp_path, model, model_values, model_flags
+    ):
+        # model_file and the model options this model does not read are
+        # left out: giving them is a usage error
         values = {
-            "model": model, "n": 4, "periodic": False, "d": 1, "alpha": 2,
+            "model": model, "n": 4, **model_values,
             "m": 2, "j_cap": 6, "variant": "first_order", "budget": 10**6,
-            "allow_capped": False, "seed": 7,
+            "allow_capped": False,
             "output": str(tmp_path / "from_config.json"),
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         assert run("commutators", "--config", str(cfg)) == (0, "", "")
-        flags = ("--model", model, "--n", "4", "--no-periodic", "--d", "1", "--alpha", "2",
+        flags = ("--model", model, "--n", "4", *model_flags,
                  "--m", "2", "--j-cap", "6", "--variant", "first_order", "--budget", "1000000",
-                 "--no-allow-capped", "--seed", "7",
+                 "--no-allow-capped",
                  "--output", str(tmp_path / "from_flags.json"))
         assert run("commutators", *flags) == (0, "", "")
         text = (tmp_path / "from_config.json").read_text()
         assert text and text == (tmp_path / "from_flags.json").read_text()
+
+    @pytest.mark.parametrize("argv, extra, config, unread", [
+        (("commutators", "--model", "heisenberg", "--n", "4"),
+         ("--seed", "9", "--d", "2", "--alpha", "0.5"), {}, ["--alpha", "--d", "--seed"]),
+        (("commutators", "--model", "commuting", "--n", "4"), (), {"periodic": False},
+         ["config key periodic"]),
+        (("bch-verify", "--model-file", "{model}"), ("--n", "3"), {"model": "power_law"},
+         ["--n", "config key model"]),
+        (("convergence", "--n", "3", "--dt-grid", "0.2,0.1,0.05,0.025"), ("--points", "5"),
+         {"ratio": 3.0, "start": 0.5}, ["--points", "config key ratio", "config key start"]),
+        (("convergence", "--n", "3"), ("--m", "2"), {"p": 2}, ["--m", "config key p"]),
+        (("convergence", "--n", "3", "--evolver", "u2p", "--p", "2"), ("--m", "2"), {},
+         ["--m"]),
+        (("benchmark", "--theory-only"), ("--eps", "0.1"), {"n_list": "3,4,5"},
+         ["--eps", "config key n_list"]),
+    ], ids=["model-options", "commuting", "model-file", "dt-grid", "evolver", "u2p",
+            "theory-only"])
+    def test_options_the_run_does_not_read_exit_2(
+        self, run, tmp_path, argv, extra, config, unread
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(to_model_json(heisenberg_1d(3)))
+        argv = [a.replace("{model}", str(path)) for a in argv]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(*argv, *extra, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"not read by this run: {', '.join(unread)}" in err
+        # left at their defaults, the same options stay silent
+        assert run(*argv)[0] == 0
 
     @pytest.mark.parametrize("command", ["commutators", "convergence", "bch-verify"])
     def test_model_file_terms_wider_than_model(self, run, tmp_path, command):
@@ -369,6 +406,9 @@ class TestConfigAndIo:
         ("commutators", "--model", "heisenberg", "--n", "4"),
         ("benchmark", "--n-list", "3,4,5", "--m-list", "1,2", "--eps", "0.1"),
         ("bch-verify", "--model", "heisenberg", "--n", "3", "--k-max", "7"),
+        ("benchmark", "--n-list", "4,6,8", "--m-list", "1,2", "--eps", "1e-3",
+         "--format", "json"),
+        ("convergence", "--model", "heisenberg", "--n", "6"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpf_lab.experiments as experiments
+from mpf_lab import pauli
 from mpf_lab.commutators import build_table, convergence_radius
 from mpf_lab.experiments import (
     DegenerateGridError,
@@ -261,6 +262,20 @@ class TestBenchmark:
         ]
         assert all(c.monotone for res in results for c in res.cells)
         assert len(calls) == 9 and max(calls.values()) <= 5
+
+    def test_errors_are_measured_in_sectors_only(self, monkeypatch):
+        # every dense matrix and stage action is built from string actions
+        widths = collections.Counter()
+        action = pauli.string_action
+
+        def recorded(x, z, n_qubits):
+            widths[n_qubits] += 1
+            return action(x, z, n_qubits)
+
+        monkeypatch.setattr(pauli, "string_action", recorded)
+        heisenberg_benchmark((6, 7, 8), (1,), eps=1e-2)
+        # sectors of dim 32, 2 x 64 and 4 x 64; no full 7- or 8-qubit chain
+        assert set(widths) == {5, 6}
 
     def test_non_monotone_cell_is_retried(self, monkeypatch):
         eps = 0.01

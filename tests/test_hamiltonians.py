@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import BAD_MODEL_FILES, dense_sum, z_model
+from conftest import BAD_MODEL_FILES, anticommute, dense_sum, z_model
+from mpf_lab import hamiltonians, pauli
+from mpf_lab.experiments import exact_evolution
 from mpf_lab.hamiltonians import (
     HamiltonianSum,
     NotLatticeError,
@@ -16,7 +18,8 @@ from mpf_lab.hamiltonians import (
     power_law_lattice,
     to_model_json,
 )
-from mpf_lab.operators import DenseOperator
+from mpf_lab.mpf import mpf_evolve, power_schedule, solve_order_condition
+from mpf_lab.operators import DenseOperator, spectral_norm
 
 
 def test_heisenberg_n3_periodic_counts_and_norm():
@@ -184,3 +187,90 @@ def test_term_validation():
     # a dense Hermitian matrix is not a term: every kernel reads Pauli masks
     with pytest.raises(TypeError):
         HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "X"}), DenseOperator(np.eye(2))))
+
+
+@st.composite
+def planted_sums(draw):
+    """(n, planted, terms): terms commuting with every planted string, the
+    planted strings independent and commuting with each other."""
+    n = draw(st.integers(1, 5))
+    string = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    planted, span = [], {(0, 0)}
+    for g in draw(st.lists(string, max_size=3)):
+        if g not in span and not any(anticommute(g, p) for p in planted):
+            planted.append(g)
+            span |= {(g[0] ^ x, g[1] ^ z) for x, z in span}
+    raw = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), string), min_size=1, max_size=8))
+    terms = [(c, s) for c, s in raw if not any(anticommute(s, p) for p in planted)]
+    return n, planted, terms or [(1.0, planted[0])]
+
+
+@pytest.fixture
+def full_split(monkeypatch):
+    """Split a sum however small its sectors get."""
+    monkeypatch.setattr(hamiltonians, "MIN_SECTOR_DIM", 1)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(planted_sums())
+def test_sectors_split_every_error_exactly(full_split, spec):
+    n, planted, raw = spec
+    terms = tuple(PauliTerm(n, c, pauli.sites_from_masks(*s)) for c, s in raw)
+    h = HamiltonianSum(n, terms, tuple((g,) for g in range(len(terms))))
+    sectors = h.sectors
+    assert len(sectors) >= 2 ** len(planted)
+    assert sum(s.dim for s in sectors) == h.dim
+    for s in sectors:
+        assert s.grouping == h.grouping
+        assert [abs(t.coefficient) for t in s.terms] == [t.norm for t in h.terms]
+    gens = pauli.symmetry_generators([t.masks() for t in terms], n)
+    dense = dense_sum(h)
+    for c, s in enumerate(sectors):
+        # sector c is H on the eigenspace where generator i has eigenvalue (-1)^c_i
+        proj = np.eye(h.dim)
+        for i, g in enumerate(gens):
+            proj = proj @ (np.eye(h.dim) + (-1) ** (c >> i & 1) * pauli.dense_string(*g, n)) / 2
+        w, v = np.linalg.eigh(proj)
+        basis = v[:, w > 0.5]
+        assert np.allclose(np.linalg.eigvalsh(basis.conj().T @ dense @ basis),
+                           np.linalg.eigvalsh(dense_sum(s)), atol=1e-10)
+    scheme = solve_order_condition(power_schedule(2), 2)
+    full = spectral_norm(mpf_evolve(h, 1.5, 3, scheme).matrix - exact_evolution(h, 1.5).matrix)
+    largest = max(
+        spectral_norm(mpf_evolve(s, 1.5, 3, scheme).matrix - exact_evolution(s, 1.5).matrix)
+        for s in sectors
+    )
+    assert abs(largest - full) <= 1e-12 + 1e-12 * full
+
+
+def test_symmetry_free_model_is_one_sector(full_split):
+    h = power_law_lattice(4, 1, 2.0)
+    strings = [t.masks() for t in h.terms]
+    every = [(x, z) for x in range(16) for z in range(16) if (x, z) != (0, 0)]
+    # every string but the identity anticommutes with some term
+    assert all(any(anticommute(s, t) for t in strings) for s in every)
+    assert h.sectors == (h,) and h.sectors[0] is h
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_chain_sectors_from_the_product_strings(full_split, n, periodic):
+    # prod X and prod Z commute with every bond term; for odd n they
+    # anticommute with each other, so only one of them splits the space
+    k = 1 if n % 2 else 2
+    h = heisenberg_1d(n, periodic)
+    assert [s.n_qubits for s in h.sectors] == [n - k] * 2**k
+    spectrum = np.concatenate([s.eigh[0] for s in h.sectors])
+    assert np.allclose(np.sort(spectrum), h.eigh[0], atol=1e-10)
+
+
+@pytest.mark.parametrize("h, dims", [
+    (heisenberg_1d(4), [16]),
+    (heisenberg_1d(6), [32, 32]),
+    (heisenberg_1d(8), [64] * 4),
+    (heisenberg_1d(9), [256] * 2),
+    (HamiltonianSum(8, tuple(PauliTerm(8, 1.0, {q: "Z"}) for q in range(8))), [32] * 8),
+], ids=["heis4", "heis6", "heis8", "heis9", "commuting8"])
+def test_sectors_stop_at_the_smallest_worthwhile_dim(h, dims):
+    assert [s.dim for s in h.sectors] == dims

@@ -4,10 +4,19 @@ import itertools
 from functools import reduce
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import kron_string
-from mpf_lab.pauli import PAULI_MATRICES, dense_string, masks_from_sites, string_action
+from conftest import anticommute, kron_string
+from mpf_lab.pauli import (
+    PAULI_MATRICES,
+    dense_string,
+    masks_from_sites,
+    sites_from_masks,
+    string_action,
+    symmetry_generators,
+    taper,
+)
 
 site_maps = st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4)
 
@@ -32,3 +41,53 @@ def test_string_action_matches_kron_for_every_three_qubit_string():
         assert np.array_equal(p, explicit), letters
         assert np.array_equal(dense_string(x, z, 3), explicit), letters
         assert np.allclose(m[:, perm] * phases, m @ explicit, atol=1e-14), letters
+
+
+def _span(strings):
+    out = {(0, 0)}
+    for x, z in strings:
+        out |= {(x ^ a, z ^ b) for a, b in out}
+    return out
+
+
+term_strings = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(term_strings)
+def test_symmetry_generators_are_a_largest_commuting_set(spec):
+    n, strings = spec
+    gens = symmetry_generators(strings, n)
+    every = [(x, z) for x in range(2**n) for z in range(2**n)]
+    commutant = [s for s in every if not any(anticommute(s, t) for t in strings)]
+    radical = [s for s in commutant if not any(anticommute(s, c) for c in commutant)]
+    # a largest isotropic subspace: the radical plus half of the rest
+    k_c, k_r = len(commutant).bit_length() - 1, len(radical).bit_length() - 1
+    assert len(gens) == k_r + (k_c - k_r) // 2
+    assert set(gens) <= set(commutant)
+    assert not any(anticommute(a, b) for a in gens for b in gens)
+    assert len(_span(gens)) == 2 ** len(gens)
+
+
+def test_taper_rejects_generators_that_are_not_a_commuting_set():
+    xx, zz, x0 = (0b11, 0b00), (0b00, 0b11), (0b01, 0b00)
+    with pytest.raises(ValueError, match="independent and commute"):
+        taper([xx, zz], [xx, xx], 2)  # dependent
+    with pytest.raises(ValueError, match="independent and commute"):
+        taper([], [x0, zz], 2)  # anticommuting
+    with pytest.raises(ValueError, match="anticommutes"):
+        taper([xx, zz, x0], [zz], 2)
+
+
+@given(site_maps)
+def test_sites_from_masks_inverts_masks_from_sites(paulis):
+    assert sites_from_masks(*masks_from_sites(paulis)) == paulis
