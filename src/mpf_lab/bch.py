@@ -1,17 +1,17 @@
 """Nested-commutator expansion machinery.
 
-phi_k with descent-statistic weights, homogeneous terms of the multi-letter
-log-of-product expansion, effective generators for the symmetric splitting
-formula, and the high-order variation-of-parameters expansion with a
-certified remainder.
+Homogeneous terms of the multi-letter log-of-product expansion, effective
+generators for the symmetric splitting formula, and the high-order
+variation-of-parameters expansion with a certified remainder. Operators
+are plain complex arrays.
 
 Conventions. phi_k(Y_1..Y_k) = (1/k^2) sum_sigma (-1)^d / C(k-1, d) *
 [Y_s1,[...,Y_sk]] with d the descent count of sigma. The degree-k term of
 log(e^(W_1) ... e^(W_L)) is sum over compositions i of k into L slots of
 phi_k(W_1 x i_1, ..., W_L x i_L) / prod(i!), letters ordered as the
 exponentials. The library computes every such term up to a depth K at once
-from truncated matrix power series; phi_k is kept as the independent
-oracle the tests compare against.
+from truncated matrix power series; phi_k with its descent-statistic
+weights is the independent oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import commutators
 from .formulas import build_spec
 from .hamiltonians import HamiltonianSum
 from .operators import (
-    DenseOperator,
     DimMismatchError,
     _check_anti_hermitian,
     _expm_anti_hermitian,
@@ -37,15 +36,12 @@ __all__ = [
     "BchTermReport",
     "ConvergenceRiskError",
     "DepthCapError",
-    "descent_count",
     "dyson_expansion",
     "effective_generator",
-    "phi_k",
     "symmetric_bch_term",
     "symmetric_bch_terms",
 ]
 
-PHI_DEPTH_CAP = 8
 WORD_DEPTH_CAP = 7
 
 
@@ -62,50 +58,11 @@ class BchTermReport:
     '''One homogeneous term of the symmetric-word expansion with its bound.'''
 
     k: int
-    phi_value: DenseOperator
+    phi_value: np.ndarray
     norm: float
     bound: float
     converged_premise: bool
     structurally_zero: bool = False
-
-
-def descent_count(sigma) -> int:
-    '''Number of positions i with sigma(i+1) < sigma(i), sigma in one-line
-    notation.'''
-    return sum(1 for a, b in zip(sigma, sigma[1:]) if b < a)
-
-
-def _permutation_weights(k: int) -> list:
-    '''(index permutation, (-1)^d / C(k-1, d)) for all sigma in S_k.'''
-    out = []
-    for p in itertools.permutations(range(k)):
-        d = descent_count(p)
-        out.append((p, (-1.0) ** d / math.comb(k - 1, d)))
-    return out
-
-
-def phi_k(y_list) -> DenseOperator:
-    '''Degree-k component functional of the log-of-product expansion.
-
-    k = len(y_list) <= 8; k = 1 returns the operator itself.'''
-    ys = [y.matrix if isinstance(y, DenseOperator) else np.asarray(y) for y in y_list]
-    k = len(ys)
-    if k < 1:
-        raise ValueError("need at least one operator")
-    if k > PHI_DEPTH_CAP:
-        raise DepthCapError(f"k = {k} exceeds the cap {PHI_DEPTH_CAP}")
-    dim = ys[0].shape[0]
-    if any(y.shape != (dim, dim) for y in ys):
-        raise DimMismatchError("operators must share one square shape")
-    if k == 1:
-        return DenseOperator(ys[0])
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for p, w in _permutation_weights(k):
-        nested = ys[p[-1]]
-        for i in p[-2::-1]:
-            nested = ys[i] @ nested - nested @ ys[i]
-        total += w * nested
-    return DenseOperator(total / k**2)
 
 
 def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
@@ -190,11 +147,11 @@ def symmetric_bch_terms(
         bound = abs(s) ** k * tables[max(k, 3)].alpha[k] / k**2
         premise_ok = abs(s) <= radius[max(k, 3)]
         if k % 2 == 0:
-            zero = DenseOperator(np.zeros((h.dim, h.dim), dtype=np.complex128))
+            zero = np.zeros((h.dim, h.dim), dtype=np.complex128)
             reports.append(BchTermReport(k, zero, 0.0, bound, premise_ok, True))
         else:
             reports.append(BchTermReport(
-                k, DenseOperator(terms[k]), float(spectral_norm(terms[k])),
+                k, terms[k], float(spectral_norm(terms[k])),
                 bound, premise_ok,
             ))
     if big_k is None:
@@ -202,7 +159,7 @@ def symmetric_bch_terms(
     z = -1j * s * h.dense()
     for k in range(3, big_k + 1, 2):
         z = z + terms[k]
-    return reports, DenseOperator(z)
+    return reports, z
 
 
 def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
@@ -211,7 +168,7 @@ def symmetric_bch_term(h: HamiltonianSum, k: int, s: float) -> BchTermReport:
     return symmetric_bch_terms(h, [k], s)[0][0]
 
 
-def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> DenseOperator:
+def effective_generator(h: HamiltonianSum, s: float, big_k: int) -> np.ndarray:
     '''Z_K = -i s H + sum of the odd expansion terms up to depth K;
     exp(Z_K) tracks the splitting formula to order K+2.'''
     return symmetric_bch_terms(h, [], s, big_k)[1]
@@ -251,32 +208,34 @@ def _simplex_integral(a_eig, b: np.ndarray, l: int, order: int) -> np.ndarray:
     return np.tensordot(weight, chain, axes=(0, 0))
 
 
-def dyson_expansion(a: DenseOperator, b: DenseOperator, p: int):
+def dyson_expansion(a: np.ndarray, b: np.ndarray, p: int):
     '''e^A plus the first p-1 iterated-integral corrections in B.
 
     Returns (approximation, remainder_bound) with remainder_bound =
     ||B||^p / p!; quadrature order is escalated until two successive orders
     agree to 1e-10 * ||B||^l / l! per correction, so the certified defect is
-    the remainder bound plus quadrature tolerance.'''
+    the remainder bound plus quadrature tolerance. A and B must be square
+    anti-Hermitian arrays of one shape (NonSquareError,
+    NotAntiHermitianError, DimMismatchError).'''
     if p < 1:
         raise ValueError("p must be >= 1")
     for op in (a, b):
-        _check_anti_hermitian(op.matrix)
-    if a.dim != b.dim:
+        _check_anti_hermitian(op)
+    if a.shape != b.shape:
         raise DimMismatchError("dims differ")
-    herm = 1j * a.matrix
+    herm = 1j * a
     a_eig = np.linalg.eigh(herm)
     # eigh of iA gives e^(A g) = V diag(e^(-i w g)) V^H
     b_norm = spectral_norm(b)
-    approx = _expm_anti_hermitian(a.matrix)
+    approx = _expm_anti_hermitian(a)
     for l in range(1, p):
         tol = 1e-10 * max(b_norm**l / math.factorial(l), 1e-300)
         prev = None
         for order in range(6, 31, 4):
-            cur = _simplex_integral(a_eig, b.matrix, l, order)
+            cur = _simplex_integral(a_eig, b, l, order)
             if prev is not None and spectral_norm(cur - prev) <= tol:
                 break
             prev = cur
         approx = approx + cur
     remainder = b_norm**p / math.factorial(p)
-    return DenseOperator(approx), float(remainder)
+    return approx, float(remainder)

@@ -46,8 +46,22 @@ class RunConfig:
     output_path: str | None
 
 
+def _finite(text) -> float:
+    """The kind of every real option, for flag text and --config numbers
+    alike: a float that is neither nan nor infinite."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {json.dumps(number)}"
+        )
+    return number
+
+
 _JSON_TYPES = {
-    bool: "true or false", int: "an integer", float: "a number", str: "a string"
+    bool: "true or false", int: "an integer", _finite: "a number", str: "a string"
 }
 
 
@@ -70,10 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_value(key: str, value, kind, choices):
     """A --config value, checked as its flag would be: a JSON boolean for a
-    switch, an integer for an int option, any number for a float option,
-    and one of the flag's choices where it has them."""
-    if kind is float and type(value) is int:
-        value = float(value)
+    switch, an integer for an int option, any finite number for a real
+    option, and one of the flag's choices where it has them."""
+    if kind is _finite and type(value) in (int, float):
+        try:
+            return kind(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config {key} {exc}") from exc
     if type(value) is not kind or (choices and value not in choices):
         expected = f"one of {list(choices)}" if choices else _JSON_TYPES[kind]
         raise UsageError(f"config {key} must be {expected}, got {json.dumps(value)}")
@@ -204,31 +221,35 @@ def cmd_commutators(config: RunConfig) -> str:
 
 def _parse_grid(text: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        grid = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}") from exc
+    if not all(math.isfinite(dt) for dt in grid):
+        raise UsageError(f"dt_grid must be finite numbers, got {text!r}")
+    return grid
 
 
 def cmd_convergence(config: RunConfig) -> str:
     p = config.params
     h = _build_model(config)
     evolver = p["evolver"]
-    scheme = None
     if evolver == "mpf":
         scheme = mpf.solve_order_condition(mpf.power_schedule(p["m"]), p["m"])
+    else:
+        if evolver == "u2p" and p["p"] is None:
+            raise UsageError("u2p evolver needs p")
+        if evolver == "u2p" and p["p"] < 1:
+            raise UsageError("p must be >= 1")
+        # a product formula of order q is the one-term scheme
+        order = 2 * p["p"] if evolver == "u2p" else {"u1": 1, "u2": 2}[evolver]
+        scheme = mpf.solve_order_condition([1], 1, order)
     grid = _parse_grid(p["dt_grid"]) if p["dt_grid"] else None
     try:
         if grid is None:
             grid = experiments.default_dt_grid(
-                h,
-                evolver,
-                p["p"],
-                scheme,
-                points=p["points"],
-                ratio=p["ratio"],
-                start=p["start"],
+                h, scheme, points=p["points"], ratio=p["ratio"], start=p["start"]
             )
-        study = experiments.convergence_study(h, evolver, grid, p["p"], scheme)
+        study = experiments.convergence_study(h, scheme, grid)
     except experiments.DegenerateGridError as exc:
         raise UsageError(str(exc)) from exc
     lines = ["dt,error,fitted_slope,r_squared,exact"]
@@ -292,10 +313,8 @@ def cmd_bch_verify(config: RunConfig) -> str:
         }
         for report in reports
     ]
-    residual = operators.spectral_norm(
-        formulas.trotter_u2(h, s).matrix
-        - operators.matrix_exponential(generator).matrix
-    )
+    u2 = formulas.evaluate_spec(h, s, formulas.build_spec(2, h.gamma))
+    residual = operators.spectral_norm(u2 - operators.matrix_exponential(generator))
     body = {
         "K": big_k,
         "s": s,
@@ -319,7 +338,7 @@ _MODEL = {
     "n": (int, 3, None, None),
     "periodic": (bool, True, None, None),
     "d": (int, 1, None, None),
-    "alpha": (float, 1.0, None, None),
+    "alpha": (_finite, 1.0, None, None),
     "seed": (int, 0, None, None),
 }
 _COMMANDS = {
@@ -345,14 +364,14 @@ _COMMANDS = {
         "m": (int, 1, None, None),
         "dt_grid": (str, None, None, "comma-separated steps"),
         "points": (int, 6, None, None),
-        "ratio": (float, 2.0, None, None),
-        "start": (float, 0.8, None, None),
+        "ratio": (_finite, 2.0, None, None),
+        "start": (_finite, 0.8, None, None),
         **_COMMON,
     }),
     "benchmark": (cmd_benchmark, "chain-length scaling benchmark", {
         "n_list": (str, "", None, "comma-separated lengths"),
         "m_list": (str, "1,2,3,4,5", None, "comma-separated half-orders"),
-        "eps": (float, 1e-3, None, None),
+        "eps": (_finite, 1e-3, None, None),
         "format": (str, "csv", ("csv", "json"), None),
         "theory_only": (bool, False, None, None),
         "periodic": (bool, True, None, None),
@@ -361,7 +380,7 @@ _COMMANDS = {
     "bch-verify": (cmd_bch_verify, "expansion terms and bounds", {
         **_MODEL,
         "k_max": (int, 5, None, None),
-        "s": (float, 0.05, None, None),
+        "s": (_finite, 0.05, None, None),
         **_COMMON,
     }),
 }

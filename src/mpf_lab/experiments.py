@@ -32,17 +32,15 @@ from .commutators import (
     convergence_radius,
     mu_m,
 )
-from .formulas import suzuki_u2p, trotter_u1, trotter_u2
 from .hamiltonians import HamiltonianSum, heisenberg_1d
 from .mpf import (
     MpfScheme,
     mpf_evolve,
-    mpf_operator,
     power_schedule,
     query_count,
     solve_order_condition,
 )
-from .operators import DenseOperator, spectral_norm
+from .operators import spectral_norm
 
 __all__ = [
     "BenchmarkCell",
@@ -133,38 +131,17 @@ class ScalingResult:
             raise ValueError("fitted exponent must be finite")
 
 
-def exact_evolution(h: HamiltonianSum, t: float) -> DenseOperator:
+def exact_evolution(h: HamiltonianSum, t: float) -> np.ndarray:
     """exp(-iHt) from the model's Hermitian eigendecomposition
     (HamiltonianSum.eigh, computed once per model)."""
     w, v = h.eigh
-    return DenseOperator((v * np.exp(-1j * t * w)) @ v.conj().T)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _step_error(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> float:
-    """||U(dt) - exp(-iH dt)|| of one evolver step, the error every study
-    and bound reports: the largest error over h.sectors."""
-    return max(
-        float(spectral_norm(
-            _one_step(s, dt, evolver, p, scheme).matrix - exact_evolution(s, dt).matrix
-        ))
-        for s in h.sectors
-    )
-
-
-def _one_step(h: HamiltonianSum, dt: float, evolver: str, p, scheme) -> DenseOperator:
-    if evolver == "u1":
-        return trotter_u1(h, dt)
-    if evolver == "u2":
-        return trotter_u2(h, dt)
-    if evolver == "u2p":
-        if p is None:
-            raise ValueError("u2p evolver needs p")
-        return suzuki_u2p(h, dt, int(p))
-    if evolver == "mpf":
-        if scheme is None:
-            raise ValueError("mpf evolver needs a scheme")
-        return mpf_operator(h, dt, scheme)
-    raise ValueError(f"unknown evolver {evolver!r}")
+def _sector_targets(h: HamiltonianSum, t: float) -> tuple:
+    """exp(-iHt) of each of h.sectors, in sector order: the targets of
+    _powered_error."""
+    return tuple(exact_evolution(s, t) for s in h.sectors)
 
 
 def _loglog_fit(xs, ys):
@@ -180,39 +157,35 @@ def _loglog_fit(xs, ys):
 
 def default_dt_grid(
     h: HamiltonianSum,
-    evolver: str = "u2",
-    p=None,
-    scheme=None,
+    scheme: MpfScheme,
     points: int = 6,
     ratio: float = 2.0,
     start: float = 0.8,
 ) -> tuple:
-    """Geometric grid whose top step is shrunk until its error drops
-    below 0.1."""
+    """Geometric grid whose top step is shrunk until the scheme's one-step
+    error drops below 0.1."""
     if points < 4 or ratio <= 1.0 or start <= 0.0:
         raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
     top = start
     for _ in range(60):
-        if _step_error(h, top, evolver, p, scheme) < 0.1:
+        if _powered_error(h, top, 1, scheme, _sector_targets(h, top)) < 0.1:
             break
         top /= 2.0
     return tuple(top * ratio**-i for i in range(points))
 
 
 def convergence_study(
-    h: HamiltonianSum,
-    evolver: str,
-    dt_grid=None,
-    p=None,
-    scheme: MpfScheme | None = None,
+    h: HamiltonianSum, scheme: MpfScheme, dt_grid=None
 ) -> ConvergenceStudy:
-    """One-step error order fit for a product formula or MPF evolver.
+    """One-step error order fit for a linear-combination scheme; the
+    one-term scheme solve_order_condition([1], 1, q) is the order-q product
+    formula.
 
     Points at the noise floor are dropped from the fit; a study whose
     points all sit there is returned with the exact flag instead.
     """
     if dt_grid is None:
-        dt_grid = default_dt_grid(h, evolver, p, scheme)
+        dt_grid = default_dt_grid(h, scheme)
     grid = tuple(float(dt) for dt in dt_grid)
     if len(grid) < 4:
         raise DegenerateGridError("need at least 4 grid points")
@@ -220,7 +193,7 @@ def convergence_study(
         a <= b for a, b in zip(grid, grid[1:])
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
-    errors = [_step_error(h, dt, evolver, p, scheme) for dt in grid]
+    errors = [_powered_error(h, dt, 1, scheme, _sector_targets(h, dt)) for dt in grid]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
     if not usable:
         return ConvergenceStudy(grid, tuple(errors), 0.0, 0.0, True)
@@ -296,16 +269,18 @@ def error_bound_evaluate(
         truncation_depth=j_cap,
         tail_clear=tail_clear,
     )
-    return budget, _step_error(h, delta, "mpf", None, scheme)
+    return budget, _powered_error(h, delta, 1, scheme, _sector_targets(h, delta))
 
 
 def _powered_error(
     h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, targets: tuple
 ) -> float:
     """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.sectors,
-    targets holding each sector's exp(-iHT) in sector order."""
+    targets holding each sector's exp(-iHT) in sector order
+    (_sector_targets). Every error the module reports is this one; r = 1
+    is the one-step error of studies and bounds."""
     return max(
-        float(spectral_norm(mpf_evolve(s, big_t, r, scheme).matrix - target))
+        float(spectral_norm(mpf_evolve(s, big_t, r, scheme) - target))
         for s, target in zip(h.sectors, targets)
     )
 
@@ -437,7 +412,7 @@ def heisenberg_benchmark(
     for n in n_values:
         h = heisenberg_1d(n, periodic=periodic)
         big_t = float(n)
-        targets = tuple(exact_evolution(s, big_t).matrix for s in h.sectors)
+        targets = _sector_targets(h, big_t)
         table = build_table(h, 2 * max(m_values) + 3, budget=10**8)
         for m in m_values:
             cells[m].append(_benchmark_cell(h, big_t, eps, schemes[m], targets, table))

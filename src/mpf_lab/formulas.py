@@ -1,9 +1,12 @@
-"""Trotter splitting formulas as dense operators.
+"""Stage lists of the splitting formulas and their dense evaluation.
 
 A formula is held as a flat stage list [(term index, time fraction), ...]
 unrolled at construction; evaluation walks the list left to right, matching
 the operator-product notation. Flat lists make the stage-count invariant
 checkable and keep evaluation order deterministic.
+
+A product formula of order q is the one-term linear-combination scheme
+mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
 """
 
 from __future__ import annotations
@@ -14,15 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import HamiltonianSum
-from .operators import DenseOperator
 
 __all__ = [
     "ProductFormulaSpec",
     "build_spec",
+    "evaluate_spec",
     "suzuki_coefficient",
-    "suzuki_u2p",
-    "trotter_u1",
-    "trotter_u2",
 ]
 
 
@@ -89,22 +89,3 @@ def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.n
     for g, c in spec.stages:
         out = _apply_stage(out, h, g, c * t)
     return out
-
-
-def trotter_u1(h: HamiltonianSum, t: float) -> DenseOperator:
-    """First-order splitting: prod_gamma exp(-i t H_gamma) in term order."""
-    return DenseOperator(evaluate_spec(h, t, build_spec(1, h.gamma)))
-
-
-def trotter_u2(h: HamiltonianSum, t: float) -> DenseOperator:
-    """Symmetric second-order splitting: reversed half-sweep then forward
-    half-sweep, each stage at t/2."""
-    return DenseOperator(evaluate_spec(h, t, build_spec(2, h.gamma)))
-
-
-def suzuki_u2p(h: HamiltonianSum, t: float, p: int) -> DenseOperator:
-    """Order-2p formula from the recursion; p=1 is trotter_u2."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return DenseOperator(evaluate_spec(h, t, build_spec(2 * p, h.gamma)))
-

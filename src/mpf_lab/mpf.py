@@ -17,7 +17,6 @@ import numpy as np
 
 from .formulas import build_spec, evaluate_spec
 from .hamiltonians import HamiltonianSum
-from .operators import DenseOperator
 
 __all__ = [
     "DuplicatePowersError",
@@ -198,30 +197,30 @@ def power_schedule(
     return current[2]
 
 
-def mpf_operator(h: HamiltonianSum, delta: float, scheme: MpfScheme) -> DenseOperator:
+def mpf_operator(h: HamiltonianSum, delta: float, scheme: MpfScheme) -> np.ndarray:
     """sum_j a_j (U_base(delta/k_j))^(k_j) as an exact dense combination.
 
     Classical stand-in for the linear-combination-of-unitaries step;
     generally non-unitary. Summation order is fixed (ascending j) so output
-    is bit-stable.
+    is bit-stable. The one-term scheme solve_order_condition([1], 1, q) is
+    the order-q product formula itself.
     """
     base = build_spec(scheme.base_order, h.gamma)
     out = np.zeros((h.dim, h.dim), dtype=np.complex128)
     for a, k in zip(scheme.coefficients, scheme.powers):
         u = evaluate_spec(h, delta / k, base)
         out = out + a * np.linalg.matrix_power(u, k)
-    return DenseOperator(out)
+    return out
 
 
 def mpf_evolve(
     h: HamiltonianSum, t_total: float, r: int, scheme: MpfScheme
-) -> DenseOperator:
+) -> np.ndarray:
     """(U_MP(T/r))^r for long-time evolution: the powered step whose
-    error the benchmark's r search measures."""
+    error the benchmark's r search measures (r = 1: the step itself)."""
     if r < 1:
         raise NonPositiveError("r must be >= 1")
-    step = mpf_operator(h, t_total / r, scheme)
-    return DenseOperator(np.linalg.matrix_power(step.matrix, r))
+    return np.linalg.matrix_power(mpf_operator(h, t_total / r, scheme), r)
 
 
 def required_steps(mu_m: float, t_total: float, eps: float, m: int, a_norm: float) -> int:

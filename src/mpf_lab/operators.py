@@ -1,23 +1,23 @@
 """Dense complex linear algebra for desk-scale quantum operators.
 
-Everything downstream (product formulas, linear-combination schemes, the
-commutator machinery) funnels through the handful of primitives collected
-here: the dense operator wrapper, the eigendecomposition matrix
-exponential and the spectral norm. Commutators of dense matrices are
-formed where they are used (bch) or in the test oracles.
+An operator is a plain square complex ndarray. Everything downstream
+(product formulas, linear-combination schemes, the commutator machinery)
+funnels through the handful of primitives collected here: the
+eigendecomposition matrix exponential and the spectral norm. Commutators
+of dense matrices are formed where they are used (bch) or in the test
+oracles.
 
-All operations are pure functions on immutable inputs; returned arrays are
-never views into caller data.
+Producers return the array they built, without a copy and never as a view
+into caller data. The functions that take an array from a caller check
+that it is square (NonSquareError): matrix_exponential, spectral_norm and
+bch.dyson_expansion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "DenseOperator",
     "DimMismatchError",
     "NonSquareError",
     "NotAntiHermitianError",
@@ -42,34 +42,15 @@ class DimMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A square complex matrix.
-
-    Args:
-        matrix: Square 2-D complex array; copied and frozen on construction.
-
-    Raises:
-        NonSquareError: If ``matrix`` is not a square 2-D array.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        """Matrix dimension (the operator acts on C^dim)."""
-        return self.matrix.shape[0]
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
 
 
 def _check_anti_hermitian(a: np.ndarray) -> None:
-    """The entrywise check: a + a^dagger within STRUCTURAL_TOL of zero."""
+    """The entrywise check on a square array: a + a^dagger within
+    STRUCTURAL_TOL of zero."""
+    _check_square(a)
     if np.max(np.abs(a + a.conj().T)) > STRUCTURAL_TOL:
         raise NotAntiHermitianError(
             f"input is not anti-Hermitian within {STRUCTURAL_TOL:g}"
@@ -87,7 +68,7 @@ def _expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def matrix_exponential(a: DenseOperator) -> DenseOperator:
+def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """Exponential of an anti-Hermitian operator, exactly unitary.
 
     Computed through the Hermitian eigendecomposition of ``i*A`` rather than
@@ -95,27 +76,28 @@ def matrix_exponential(a: DenseOperator) -> DenseOperator:
     built on top relies on the reference exponential not drifting.
 
     Args:
-        a: Anti-Hermitian operator (entrywise deviation at most
+        a: Square anti-Hermitian array (entrywise deviation at most
             STRUCTURAL_TOL).
 
     Returns:
         ``exp(A)``.
 
     Raises:
+        NonSquareError: If the input is not square.
         NotAntiHermitianError: If ``A + A^dagger`` deviates from zero by more
             than the structural tolerance.
 
     Examples:
-        >>> z = DenseOperator(np.diag([1.0, -1.0]))
-        >>> u = matrix_exponential(DenseOperator(-1j * (np.pi / 2) * z.matrix))
-        >>> np.allclose(u.matrix, np.diag([-1j, 1j]))
+        >>> z = np.diag([1.0, -1.0])
+        >>> u = matrix_exponential(-1j * (np.pi / 2) * z)
+        >>> np.allclose(u, np.diag([-1j, 1j]))
         True
     """
-    _check_anti_hermitian(a.matrix)
-    return DenseOperator(_expm_anti_hermitian(a.matrix))
+    _check_anti_hermitian(a)
+    return _expm_anti_hermitian(a)
 
 
-def spectral_norm(a: DenseOperator | np.ndarray) -> float:
+def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value, via full SVD.
 
     Exact SVD is affordable at desk scale (dim <= 1024) and serves as the
@@ -125,7 +107,7 @@ def spectral_norm(a: DenseOperator | np.ndarray) -> float:
     a 12-qubit periodic chain splits into four sectors of dim 1024.
 
     Args:
-        a: Square operator or raw 2-D array.
+        a: Square 2-D array.
 
     Returns:
         The spectral norm as a nonnegative float.
@@ -133,9 +115,8 @@ def spectral_norm(a: DenseOperator | np.ndarray) -> float:
     Raises:
         NonSquareError: If the input is not square.
     """
-    m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    m = np.asarray(a)
+    _check_square(m)
     if m.shape[0] == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])

@@ -8,26 +8,69 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import commutator, fit_loglog, rand_anti_hermitian
 from mpf_lab.bch import (
-    PHI_DEPTH_CAP,
     ConvergenceRiskError,
     DepthCapError,
     _log_product_terms,
-    descent_count,
     dyson_expansion,
     effective_generator,
-    phi_k,
     symmetric_bch_term,
 )
-from mpf_lab.formulas import trotter_u2
+from mpf_lab.formulas import build_spec, evaluate_spec
 from mpf_lab.hamiltonians import heisenberg_1d
 from mpf_lab.operators import (
-    DenseOperator,
     DimMismatchError,
+    NonSquareError,
     NotAntiHermitianError,
     _expm_anti_hermitian,
     matrix_exponential,
     spectral_norm,
 )
+
+PHI_DEPTH_CAP = 8
+
+
+def descent_count(sigma) -> int:
+    """Number of positions i with sigma(i+1) < sigma(i), sigma in one-line
+    notation."""
+    return sum(1 for a, b in zip(sigma, sigma[1:]) if b < a)
+
+
+def _permutation_weights(k: int) -> list:
+    """(index permutation, (-1)^d / C(k-1, d)) for all sigma in S_k."""
+    out = []
+    for p in itertools.permutations(range(k)):
+        d = descent_count(p)
+        out.append((p, (-1.0) ** d / math.comb(k - 1, d)))
+    return out
+
+
+def phi_k(ys):
+    """Degree-k component functional of the log-of-product expansion, the
+    descent-weight oracle: (1/k^2) sum_sigma (-1)^d / C(k-1, d) *
+    [Y_s1,[...,Y_sk]] over the k = len(ys) <= 8 square arrays; k = 1
+    returns the array itself."""
+    k = len(ys)
+    if k < 1:
+        raise ValueError("need at least one operator")
+    if k > PHI_DEPTH_CAP:
+        raise DepthCapError(f"k = {k} exceeds the cap {PHI_DEPTH_CAP}")
+    dim = ys[0].shape[0]
+    if any(y.shape != (dim, dim) for y in ys):
+        raise DimMismatchError("operators must share one square shape")
+    if k == 1:
+        return ys[0]
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for p, w in _permutation_weights(k):
+        nested = ys[p[-1]]
+        for i in p[-2::-1]:
+            nested = ys[i] @ nested - nested @ ys[i]
+        total += w * nested
+    return total / k**2
+
+
+def _u2(h, s):
+    """The symmetric second-order splitting formula at step s."""
+    return evaluate_spec(h, s, build_spec(2, h.gamma))
 
 
 def _log_unitary(u):
@@ -53,15 +96,14 @@ def bch_two_term_check(x, y, k_max):
 
     Requires ||X|| + ||Y|| <= 1/4 so both the series and the principal
     branch are safe; the residual decays geometrically in k_max."""
-    for op in (x, y):
-        m = op.matrix
+    for m in (x, y):
         if np.max(np.abs(m + m.conj().T)) > 1e-10:
             raise NotAntiHermitianError("inputs must be anti-Hermitian")
     if spectral_norm(x) + spectral_norm(y) > 0.25:
         raise ConvergenceRiskError("norm premise ||X|| + ||Y|| <= 1/4 violated")
     if k_max > PHI_DEPTH_CAP:
         raise DepthCapError(f"k_max = {k_max} exceeds {PHI_DEPTH_CAP}")
-    letters = [x.matrix, y.matrix]
+    letters = [x, y]
     z = _log_product_terms(letters, k_max).sum(axis=0)
     reference = _log_unitary(
         _expm_anti_hermitian(letters[0]) @ _expm_anti_hermitian(letters[1])
@@ -76,33 +118,33 @@ def test_descent_count_pinned():
 
 
 def _rand_ops(rng, count, dim=4, norm=1.0):
-    return [DenseOperator(rand_anti_hermitian(rng, dim, norm)) for _ in range(count)]
+    return [rand_anti_hermitian(rng, dim, norm) for _ in range(count)]
 
 
 def test_phi_1_is_identity_map():
     rng = np.random.default_rng(0)
     (y,) = _rand_ops(rng, 1)
-    assert np.allclose(phi_k([y]).matrix, y.matrix, atol=1e-14)
+    assert np.allclose(phi_k([y]), y, atol=1e-14)
 
 
 def test_phi_2_is_half_commutator():
     rng = np.random.default_rng(1)
     y1, y2 = _rand_ops(rng, 2)
-    want = 0.5 * commutator(y1.matrix, y2.matrix)
-    assert np.allclose(phi_k([y1, y2]).matrix, want, atol=1e-12)
+    want = 0.5 * commutator(y1, y2)
+    assert np.allclose(phi_k([y1, y2]), want, atol=1e-12)
 
 
 def test_phi_k_commuting_inputs_vanish():
-    diags = [DenseOperator(np.diag(1j * np.arange(1.0, 4.0) * c)) for c in (1.0, 2.0, -0.5)]
+    diags = [np.diag(1j * np.arange(1.0, 4.0) * c) for c in (1.0, 2.0, -0.5)]
     assert spectral_norm(phi_k(diags)) <= 1e-14
 
 
 def test_phi_k_multilinearity():
     rng = np.random.default_rng(2)
     y1, y2, y3 = _rand_ops(rng, 3)
-    scaled = DenseOperator(2.5 * y2.matrix)
-    lhs = phi_k([y1, scaled, y3]).matrix
-    rhs = 2.5 * phi_k([y1, y2, y3]).matrix
+    scaled = 2.5 * y2
+    lhs = phi_k([y1, scaled, y3])
+    rhs = 2.5 * phi_k([y1, y2, y3])
     assert spectral_norm(lhs - rhs) <= 1e-10
 
 
@@ -111,7 +153,7 @@ def test_phi_k_caps_and_mismatch():
     with pytest.raises(DepthCapError):
         phi_k(_rand_ops(rng, 9, dim=2))
     with pytest.raises(DimMismatchError):
-        phi_k([DenseOperator(np.zeros((2, 2), dtype=complex)), DenseOperator(np.zeros((4, 4), dtype=complex))])
+        phi_k([np.zeros((2, 2), dtype=complex), np.zeros((4, 4), dtype=complex)])
 
 
 def _oracle_log_product_term(letters, k):
@@ -124,7 +166,7 @@ def _oracle_log_product_term(letters, k):
             continue
         args = [w for w, count in zip(letters, comp) for _ in range(count)]
         weight = 1.0 / math.prod(math.factorial(c) for c in comp)
-        total += weight * phi_k(args).matrix
+        total += weight * phi_k(args)
     return total
 
 
@@ -159,34 +201,34 @@ def test_log_unitary_degenerate_heisenberg_spectra(n, distinct, s):
 
 def test_two_term_check_trivial_cases():
     rng = np.random.default_rng(4)
-    x = DenseOperator(rand_anti_hermitian(rng, 4, 0.1))
-    zero = DenseOperator(np.zeros((4, 4), dtype=complex))
+    x = rand_anti_hermitian(rng, 4, 0.1)
+    zero = np.zeros((4, 4), dtype=complex)
     assert bch_two_term_check(x, zero, 1) <= 1e-10
 
-    a = DenseOperator(np.diag(1j * np.array([0.05, 0.1, -0.12, 0.02])))
-    b = DenseOperator(np.diag(1j * np.array([-0.02, 0.04, 0.08, 0.0])))
+    a = np.diag(1j * np.array([0.05, 0.1, -0.12, 0.02]))
+    b = np.diag(1j * np.array([-0.02, 0.04, 0.08, 0.0]))
     assert bch_two_term_check(a, b, 1) <= 1e-10
 
 
 def test_two_term_check_residual_decay_and_scipy_oracle():
     rng = np.random.default_rng(5)
-    x = DenseOperator(rand_anti_hermitian(rng, 4, 0.05))
-    y = DenseOperator(rand_anti_hermitian(rng, 4, 0.05))
+    x = rand_anti_hermitian(rng, 4, 0.05)
+    y = rand_anti_hermitian(rng, 4, 0.05)
     r2 = bch_two_term_check(x, y, 2)
     r4 = bch_two_term_check(x, y, 4)
     assert r4 / r2 <= 1e-2
 
     # the k_max=2 truncation is X + Y + [X,Y]/2; check the residual
     # against an entirely external log
-    log = scipy.linalg.logm(scipy.linalg.expm(x.matrix) @ scipy.linalg.expm(y.matrix))
-    manual = x.matrix + y.matrix + 0.5 * commutator(x.matrix, y.matrix)
+    log = scipy.linalg.logm(scipy.linalg.expm(x) @ scipy.linalg.expm(y))
+    manual = x + y + 0.5 * commutator(x, y)
     assert abs(r2 - np.linalg.norm(log - manual, 2)) <= 1e-10
 
 
 def test_two_term_check_norm_premise():
     rng = np.random.default_rng(6)
-    x = DenseOperator(rand_anti_hermitian(rng, 4, 0.2))
-    y = DenseOperator(rand_anti_hermitian(rng, 4, 0.2))
+    x = rand_anti_hermitian(rng, 4, 0.2)
+    y = rand_anti_hermitian(rng, 4, 0.2)
     with pytest.raises(ConvergenceRiskError):
         bch_two_term_check(x, y, 3)
 
@@ -195,7 +237,7 @@ def test_symmetric_term_even_depth_structurally_zero(xz1):
     rep = symmetric_bch_term(xz1, 4, 0.1)
     assert rep.structurally_zero
     assert rep.norm == 0.0
-    assert np.count_nonzero(rep.phi_value.matrix) == 0
+    assert np.count_nonzero(rep.phi_value) == 0
 
 
 def test_symmetric_term_commuting_vanishes(commuting3):
@@ -224,14 +266,14 @@ def test_symmetric_term_depth_cap(xz1):
 
 def test_effective_generator_k1_is_scaled_hamiltonian(xz1):
     z = effective_generator(xz1, 0.1, 1)
-    assert np.allclose(z.matrix, -1j * 0.1 * xz1.dense(), atol=1e-14)
+    assert np.allclose(z, -1j * 0.1 * xz1.dense(), atol=1e-14)
 
 
 @pytest.mark.parametrize("big_k, order", [(1, 3), (3, 5), (5, 7)])
 def test_effective_generator_residual_slopes(big_k, order, xz1):
     ss = [0.2 * 0.75**i for i in range(6)]
     errs = [
-        spectral_norm(trotter_u2(xz1, s).matrix - matrix_exponential(effective_generator(xz1, s, big_k)).matrix)
+        spectral_norm(_u2(xz1, s) - matrix_exponential(effective_generator(xz1, s, big_k)))
         for s in ss
     ]
     assert fit_loglog(ss, errs) >= order - 0.4
@@ -239,7 +281,7 @@ def test_effective_generator_residual_slopes(big_k, order, xz1):
 
 def test_effective_generator_deep_truncation_is_tiny(xz1):
     z = effective_generator(xz1, 0.1, 7)
-    res = spectral_norm(trotter_u2(xz1, 0.1).matrix - matrix_exponential(z).matrix)
+    res = spectral_norm(_u2(xz1, 0.1) - matrix_exponential(z))
     assert res <= 1e-10
 
 
@@ -250,46 +292,51 @@ def test_effective_generator_premise_gate(xz1):
 
 def test_e3_reexponentiated_order_five(xz1):
     # the degree-3 term at s = 1 is the coefficient operator of s^3
-    e3 = symmetric_bch_term(xz1, 3, 1.0).phi_value.matrix
+    e3 = symmetric_bch_term(xz1, 3, 1.0).phi_value
     h = xz1.dense()
     ss = (0.2, 0.1, 0.05, 0.025)
     errs = []
     for s in ss:
-        gen = DenseOperator(-1j * h * s + e3 * s**3)
-        errs.append(spectral_norm(trotter_u2(xz1, s).matrix - matrix_exponential(gen).matrix))
+        gen = -1j * h * s + e3 * s**3
+        errs.append(spectral_norm(_u2(xz1, s) - matrix_exponential(gen)))
     assert fit_loglog(ss, errs) == pytest.approx(5.0, abs=0.3)
 
 
 def test_dyson_expansion_trivial_cases():
     rng = np.random.default_rng(7)
-    a = DenseOperator(rand_anti_hermitian(rng, 4, 0.5))
-    zero = DenseOperator(np.zeros((4, 4), dtype=complex))
+    a = rand_anti_hermitian(rng, 4, 0.5)
+    zero = np.zeros((4, 4), dtype=complex)
     approx, remainder = dyson_expansion(a, zero, 3)
     assert remainder == 0.0
-    assert spectral_norm(approx.matrix - scipy.linalg.expm(a.matrix)) <= 1e-12
+    assert spectral_norm(approx - scipy.linalg.expm(a)) <= 1e-12
 
-    b = DenseOperator(rand_anti_hermitian(rng, 4, 0.3))
+    b = rand_anti_hermitian(rng, 4, 0.3)
     approx, remainder = dyson_expansion(a, b, 1)
     assert remainder == pytest.approx(0.3, abs=1e-12)
-    assert spectral_norm(approx.matrix - scipy.linalg.expm(a.matrix)) <= 1e-12
+    assert spectral_norm(approx - scipy.linalg.expm(a)) <= 1e-12
 
 
 def test_dyson_expansion_certified_defect():
     rng = np.random.default_rng(8)
-    a = DenseOperator(rand_anti_hermitian(rng, 4, 0.8))
-    b = DenseOperator(rand_anti_hermitian(rng, 4, 0.1))
+    a = rand_anti_hermitian(rng, 4, 0.8)
+    b = rand_anti_hermitian(rng, 4, 0.1)
     approx, remainder = dyson_expansion(a, b, 3)
-    truth = scipy.linalg.expm(a.matrix + b.matrix)
+    truth = scipy.linalg.expm(a + b)
     assert remainder == pytest.approx(0.1**3 / 6, abs=1e-15)
-    assert spectral_norm(truth - approx.matrix) <= 1e-3 / 6 + 1e-9
+    assert spectral_norm(truth - approx) <= 1e-3 / 6 + 1e-9
 
 
 def test_dyson_expansion_input_validation():
     rng = np.random.default_rng(9)
-    a = DenseOperator(rand_anti_hermitian(rng, 4, 0.5))
+    a = rand_anti_hermitian(rng, 4, 0.5)
     with pytest.raises(NotAntiHermitianError):
-        dyson_expansion(a, DenseOperator(np.eye(4, dtype=complex)), 2)
+        dyson_expansion(a, np.eye(4, dtype=complex), 2)
     with pytest.raises(DimMismatchError):
-        dyson_expansion(a, DenseOperator(np.zeros((2, 2), dtype=complex)), 2)
+        dyson_expansion(a, np.zeros((2, 2), dtype=complex), 2)
+    for bad in (np.zeros((4, 2), dtype=complex), np.zeros(4, dtype=complex)):
+        with pytest.raises(NonSquareError):
+            dyson_expansion(a, bad, 2)
+        with pytest.raises(NonSquareError):
+            dyson_expansion(bad, a, 2)
     with pytest.raises(ValueError):
         dyson_expansion(a, a, 0)

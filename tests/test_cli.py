@@ -155,6 +155,23 @@ class TestConvergence:
         assert run("convergence", "--n", "3", "--dt-grid", "0.2,0.1")[0] == 2
         assert run("convergence", "--n", "3", "--dt-grid", "a,b,c,d")[0] == 2
 
+    def test_u2p_p_messages(self, run):
+        for extra in ((), ("--dt-grid", "0.2,0.1,0.05,0.025")):
+            assert run("convergence", "--evolver", "u2p", *extra) == (
+                2, "", "error: u2p evolver needs p\n")
+            for p in ("0", "-3"):
+                assert run("convergence", "--evolver", "u2p", "--p", p, *extra) == (
+                    2, "", "error: p must be >= 1\n")
+
+    def test_evolver_names_are_schemes(self, run):
+        # u2, u2p with p = 1 and mpf with m = 1 all name the one-term
+        # second-order scheme
+        argv = ("convergence", "--n", "3", "--dt-grid", "0.2,0.1,0.05,0.025")
+        u2 = run(*argv, "--evolver", "u2")
+        assert u2[0] == 0
+        assert run(*argv, "--evolver", "u2p", "--p", "1") == u2
+        assert run(*argv, "--evolver", "mpf", "--m", "1") == u2
+
 
 class TestBenchmark:
     def test_theory_only(self, run):
@@ -386,6 +403,32 @@ class TestConfigAndIo:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv, config, option", [
+        (("bch-verify", "--s", "nan"), None, "--s"),
+        (("bch-verify", "--s", "inf"), None, "--s"),
+        (("convergence", "--ratio", "nan"), None, "--ratio"),
+        (("convergence", "--start", "inf"), None, "--start"),
+        (("convergence", "--start=-inf"), None, "--start"),
+        (("convergence", "--dt-grid", "nan,0.1,0.05,0.02"), None, "dt_grid"),
+        (("benchmark", "--n-list", "3,4,5", "--eps", "nan"), None, "--eps"),
+        (("bch-verify",), '{"s": NaN}', "config s"),
+        (("convergence",), '{"ratio": Infinity}', "config ratio"),
+        (("commutators", "--model", "power_law"), '{"alpha": -Infinity}', "config alpha"),
+    ])
+    def test_non_finite_reals_exit_2(self, capsys, tmp_path, argv, config, option):
+        argv = list(argv)
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)  # json.load reads NaN and Infinity
+            argv += ["--config", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert option in captured.err and "finite number" in captured.err
 
     def test_output_file(self, run, tmp_path):
         ref = run("scheme", "--m", "2")[1]

@@ -32,23 +32,27 @@ def _scheme(m, base_order=2):
     return solve_order_condition(power_schedule(m, base_order=base_order), m, base_order=base_order)
 
 
+# the second-order product formula as a scheme
+U2 = solve_order_condition([1], 1, 2)
+
+
 class TestExactEvolution:
     def test_zero_time_is_identity(self, heis3):
-        assert spectral_norm(exact_evolution(heis3, 0.0).matrix - np.eye(8)) <= 1e-14
+        assert spectral_norm(exact_evolution(heis3, 0.0) - np.eye(8)) <= 1e-14
 
     def test_single_qubit_z_quarter_turn(self, xz1):
         from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm
 
         hz = HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "Z"}),), grouping=((0,),))
-        got = exact_evolution(hz, math.pi / 2).matrix
+        got = exact_evolution(hz, math.pi / 2)
         assert np.allclose(got, np.diag([-1j, 1j]), atol=1e-12)
 
     def test_group_property(self, heis3):
-        prod = exact_evolution(heis3, 0.3).matrix @ exact_evolution(heis3, 0.45).matrix
-        assert spectral_norm(prod - exact_evolution(heis3, 0.75).matrix) <= 1e-9
+        prod = exact_evolution(heis3, 0.3) @ exact_evolution(heis3, 0.45)
+        assert spectral_norm(prod - exact_evolution(heis3, 0.75)) <= 1e-9
 
     def test_unitary(self, heis3):
-        u = exact_evolution(heis3, 1.7).matrix
+        u = exact_evolution(heis3, 1.7)
         assert spectral_norm(u @ u.conj().T - np.eye(8)) <= 1e-12
 
     def test_model_retains_no_term_matrices(self):
@@ -66,62 +70,57 @@ class TestExactEvolution:
 
 
 class TestConvergenceStudy:
+    # a product formula of order q is the one-term scheme
     @pytest.mark.parametrize(
-        "evolver, kwargs, order",
+        "name, kwargs, order",
         [
-            ("u1", {}, 2.0),
-            ("u2", {}, 3.0),
-            ("u2p", {"p": 2}, 5.0),
+            ("u1", {"base_order": 1}, 2.0),
+            ("u2", {"base_order": 2}, 3.0),
+            ("u2p", {"base_order": 4}, 5.0),
         ],
     )
-    def test_product_formula_slopes(self, heis3, evolver, kwargs, order):
-        study = convergence_study(heis3, evolver, dt_grid=GRID, **kwargs)
+    def test_product_formula_slopes(self, heis3, name, kwargs, order):
+        scheme = solve_order_condition([1], 1, **kwargs)
+        study = convergence_study(heis3, scheme, dt_grid=GRID)
         assert study.fitted_slope == pytest.approx(order, abs=0.2)
         assert study.r_squared > 0.999
         assert not study.exact
         assert study.dt_grid == GRID and len(study.errors) == 4
 
     def test_mpf_slope(self, heis3):
-        study = convergence_study(heis3, "mpf", dt_grid=GRID, scheme=_scheme(2))
+        study = convergence_study(heis3, _scheme(2), dt_grid=GRID)
         assert study.fitted_slope == pytest.approx(5.0, abs=0.3)
 
     def test_commuting_model_is_exact(self, commuting3):
-        study = convergence_study(commuting3, "u2", dt_grid=GRID)
+        study = convergence_study(commuting3, U2, dt_grid=GRID)
         assert study.exact
         assert study.fitted_slope == 0.0 and study.r_squared == 0.0
         assert max(study.errors) <= 1e-10
 
     def test_grid_validation(self, heis3):
         with pytest.raises(DegenerateGridError):
-            convergence_study(heis3, "u2", dt_grid=(0.2, 0.1, 0.05))
+            convergence_study(heis3, U2, dt_grid=(0.2, 0.1, 0.05))
         with pytest.raises(DegenerateGridError):
-            convergence_study(heis3, "u2", dt_grid=(0.2, 0.2, 0.1, 0.05))
+            convergence_study(heis3, U2, dt_grid=(0.2, 0.2, 0.1, 0.05))
         with pytest.raises(DegenerateGridError):
-            convergence_study(heis3, "u2", dt_grid=(0.2, 0.1, 0.05, -0.025))
-
-    def test_evolver_validation(self, heis3):
-        with pytest.raises(ValueError):
-            convergence_study(heis3, "u2p", dt_grid=GRID)
-        with pytest.raises(ValueError):
-            convergence_study(heis3, "mpf", dt_grid=GRID)
-        with pytest.raises(ValueError):
-            convergence_study(heis3, "u3", dt_grid=GRID)
+            convergence_study(heis3, U2, dt_grid=(0.2, 0.1, 0.05, -0.025))
 
     def test_default_grid(self, heis3):
-        grid = default_dt_grid(heis3)
+        grid = default_dt_grid(heis3, U2)
         assert len(grid) == 6
         ratios = [a / b for a, b in zip(grid, grid[1:])]
         assert ratios == pytest.approx([2.0] * 5)
-        study = convergence_study(heis3, "u2", dt_grid=grid)
+        study = convergence_study(heis3, U2, dt_grid=grid)
         assert study.errors[0] < 0.1
+        assert convergence_study(heis3, U2).dt_grid == grid
 
     def test_default_grid_validation(self, heis3):
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, points=3)
+            default_dt_grid(heis3, U2, points=3)
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, ratio=1.0)
+            default_dt_grid(heis3, U2, ratio=1.0)
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, start=0.0)
+            default_dt_grid(heis3, U2, start=0.0)
 
 
 class TestErrorBound:
@@ -204,13 +203,13 @@ class TestBenchmark:
         for res in small_run:
             for cell in res.cells:
                 h = heisenberg_1d(cell.n, periodic=True)
-                target = exact_evolution(h, float(cell.n)).matrix
+                target = exact_evolution(h, float(cell.n))
                 scheme = _scheme(cell.m)
 
                 # built here rather than through mpf_evolve, the path the
                 # search itself measures
                 def err(r):
-                    step = mpf_operator(h, float(cell.n) / r, scheme).matrix
+                    step = mpf_operator(h, float(cell.n) / r, scheme)
                     return spectral_norm(np.linalg.matrix_power(step, r) - target)
 
                 assert err(cell.r) <= 0.05

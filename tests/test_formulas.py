@@ -4,18 +4,28 @@ import scipy.linalg
 
 from conftest import fit_loglog
 from mpf_lab.experiments import exact_evolution
-from mpf_lab.formulas import (
-    build_spec,
-    suzuki_coefficient,
-    suzuki_u2p,
-    trotter_u1,
-    trotter_u2,
-)
+from mpf_lab.formulas import build_spec, evaluate_spec, suzuki_coefficient
 from mpf_lab.hamiltonians import heisenberg_1d
-from mpf_lab.mpf import MpfScheme, mpf_operator
+from mpf_lab.mpf import MpfScheme, mpf_operator, solve_order_condition
 from mpf_lab.operators import spectral_norm
 
 HALVING_GRID = (0.2, 0.1, 0.05, 0.025)
+
+
+def _formula(order):
+    """The order-q product formula: mpf_operator on the one-term scheme."""
+    scheme = solve_order_condition([1], 1, order)
+    return lambda h, t: mpf_operator(h, t, scheme)
+
+
+U1, U2, U4 = _formula(1), _formula(2), _formula(4)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_one_term_scheme_is_the_stage_product(order, heis3):
+    # exactly, not to a tolerance: a_1 = 1 and k_1 = 1 add no arithmetic
+    want = evaluate_spec(heis3, 0.3, build_spec(order, heis3.gamma))
+    assert np.array_equal(_formula(order)(heis3, 0.3), want)
 
 
 def test_suzuki_coefficient_values():
@@ -49,11 +59,11 @@ def test_build_spec_rejects_odd_orders():
 
 @pytest.mark.parametrize(
     "fn",
-    [trotter_u1, trotter_u2, lambda h, t: suzuki_u2p(h, t, 2)],
+    [U1, U2, U4],
     ids=["u1", "u2", "u4"],
 )
 def test_zero_time_is_identity(fn, heis3):
-    assert np.allclose(fn(heis3, 0.0).matrix, np.eye(8), atol=1e-14)
+    assert np.allclose(fn(heis3, 0.0), np.eye(8), atol=1e-14)
 
 
 def test_u1_matches_ordered_exponential_product(heis3):
@@ -62,7 +72,7 @@ def test_u1_matches_ordered_exponential_product(heis3):
     product = np.eye(8, dtype=complex)
     for mat in heis3.term_matrices():
         product = product @ scipy.linalg.expm(-1j * t * mat)
-    assert spectral_norm(trotter_u1(heis3, t).matrix - product) <= 1e-12
+    assert spectral_norm(U1(heis3, t) - product) <= 1e-12
 
 
 def test_u2_matches_reversed_then_forward_sweep(heis3):
@@ -74,38 +84,37 @@ def test_u2_matches_reversed_then_forward_sweep(heis3):
     fwd = np.eye(8, dtype=complex)
     for mat in half:
         fwd = fwd @ mat
-    assert spectral_norm(trotter_u2(heis3, t).matrix - rev @ fwd) <= 1e-12
+    assert spectral_norm(U2(heis3, t) - rev @ fwd) <= 1e-12
 
 
 def test_u1_single_term_is_exact():
     h = heisenberg_1d(2, periodic=False)
     single = type(h)(h.n_qubits, h.terms[:1])
-    u = trotter_u1(single, 0.7)
-    assert spectral_norm(u.matrix - exact_evolution(single, 0.7).matrix) <= 1e-12
+    u = U1(single, 0.7)
+    assert spectral_norm(u - exact_evolution(single, 0.7)) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 4, 8])
 def test_time_reversal_symmetry(order, heis3):
-    p = order // 2
-    u = suzuki_u2p(heis3, 0.3, p)
-    v = suzuki_u2p(heis3, -0.3, p)
-    assert spectral_norm(u.matrix @ v.matrix - np.eye(8)) <= 1e-9
+    u = _formula(order)(heis3, 0.3)
+    v = _formula(order)(heis3, -0.3)
+    assert spectral_norm(u @ v - np.eye(8)) <= 1e-9
 
 
 def test_u2_xz_slope_is_three(xz1):
     ts = (0.1, 0.05, 0.025)
-    errs = [spectral_norm(trotter_u2(xz1, t).matrix - exact_evolution(xz1, t).matrix) for t in ts]
+    errs = [spectral_norm(U2(xz1, t) - exact_evolution(xz1, t)) for t in ts]
     assert fit_loglog(ts, errs) == pytest.approx(3.0, abs=0.1)
 
 
 @pytest.mark.parametrize(
     "fn, order",
-    [(trotter_u1, 1), (trotter_u2, 2), (lambda h, t: suzuki_u2p(h, t, 2), 4)],
+    [(U1, 1), (U2, 2), (U4, 4)],
     ids=["u1", "u2", "u4"],
 )
 def test_one_step_error_order(fn, order, heis3):
     errs = [
-        spectral_norm(fn(heis3, t).matrix - exact_evolution(heis3, t).matrix)
+        spectral_norm(fn(heis3, t) - exact_evolution(heis3, t))
         for t in HALVING_GRID
     ]
     assert fit_loglog(HALVING_GRID, errs) == pytest.approx(order + 1, abs=0.25)
@@ -113,11 +122,11 @@ def test_one_step_error_order(fn, order, heis3):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_commuting_family_exact_all_orders(k, commuting3):
-    exact = exact_evolution(commuting3, 0.4).matrix
-    for fn in (trotter_u1, trotter_u2, lambda h, t: suzuki_u2p(h, t, 2)):
-        assert spectral_norm(fn(commuting3, 0.4).matrix - exact) <= 1e-9
+    exact = exact_evolution(commuting3, 0.4)
+    for fn in (U1, U2, U4):
+        assert spectral_norm(fn(commuting3, 0.4) - exact) <= 1e-9
     powered = mpf_operator(commuting3, 0.4, _powered(k))
-    assert spectral_norm(powered.matrix - exact) <= 1e-9
+    assert spectral_norm(powered - exact) <= 1e-9
 
 
 def _powered(k):
@@ -126,19 +135,16 @@ def _powered(k):
 
 
 def test_powered_formula_k1_and_naive_product(heis3):
-    assert np.allclose(mpf_operator(heis3, 0.3, _powered(1)).matrix, trotter_u2(heis3, 0.3).matrix, atol=1e-12)
+    # the second-order sweep, independently of mpf_operator
+    u2 = evaluate_spec(heis3, 0.3, build_spec(2, heis3.gamma))
+    assert np.allclose(mpf_operator(heis3, 0.3, _powered(1)), u2, atol=1e-12)
 
-    step = trotter_u2(heis3, 0.3 / 4).matrix
+    step = evaluate_spec(heis3, 0.3 / 4, build_spec(2, heis3.gamma))
     naive = step @ step @ step @ step
-    assert spectral_norm(mpf_operator(heis3, 0.3, _powered(4)).matrix - naive) <= 1e-10
-
-
-def test_suzuki_u2p_rejects_bad_p(heis3):
-    with pytest.raises(ValueError):
-        suzuki_u2p(heis3, 0.3, 0)
+    assert spectral_norm(mpf_operator(heis3, 0.3, _powered(4)) - naive) <= 1e-10
 
 
 def test_unit_determinant(heis3):
-    for fn in (trotter_u1, trotter_u2, lambda h, t: suzuki_u2p(h, t, 2)):
-        det = np.linalg.det(fn(heis3, 0.45).matrix)
+    for fn in (U1, U2, U4):
+        det = np.linalg.det(fn(heis3, 0.45))
         assert abs(abs(det) - 1.0) <= 1e-8

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import fit_loglog
 from mpf_lab.experiments import exact_evolution
-from mpf_lab.formulas import trotter_u2
+from mpf_lab.formulas import build_spec, evaluate_spec
 from mpf_lab.mpf import (
     DuplicatePowersError,
     NonPositiveError,
@@ -97,13 +97,14 @@ def test_min_a_norm_never_worse_than_natural(m):
 def test_mpf_operator_m1_reduces_to_base(heis3):
     scheme = solve_order_condition((1,), 1)
     u = mpf_operator(heis3, 0.3, scheme)
-    assert np.allclose(u.matrix, trotter_u2(heis3, 0.3).matrix, atol=1e-12)
+    base = evaluate_spec(heis3, 0.3, build_spec(2, heis3.gamma))
+    assert np.allclose(u, base, atol=1e-12)
 
 
 def test_mpf_operator_commuting_exact(commuting3):
     scheme = solve_order_condition((1, 2), 2)
-    exact = exact_evolution(commuting3, 0.5).matrix
-    assert spectral_norm(mpf_operator(commuting3, 0.5, scheme).matrix - exact) <= 1e-9
+    exact = exact_evolution(commuting3, 0.5)
+    assert spectral_norm(mpf_operator(commuting3, 0.5, scheme) - exact) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -114,7 +115,7 @@ def test_mpf_operator_commuting_exact(commuting3):
 def test_mpf_local_order(base_order, m, order, heis3):
     scheme = solve_order_condition(power_schedule(m, base_order=base_order), m, base_order=base_order)
     errs = [
-        spectral_norm(mpf_operator(heis3, t, scheme).matrix - exact_evolution(heis3, t).matrix)
+        spectral_norm(mpf_operator(heis3, t, scheme) - exact_evolution(heis3, t))
         for t in HALVING_GRID
     ]
     assert fit_loglog(HALVING_GRID, errs) == pytest.approx(order, abs=0.3)
@@ -123,7 +124,7 @@ def test_mpf_local_order(base_order, m, order, heis3):
 def test_base4_scheme_order_exceeds_five(heis3):
     scheme = solve_order_condition((1, 2), 3, base_order=4)
     errs = [
-        spectral_norm(mpf_operator(heis3, t, scheme).matrix - exact_evolution(heis3, t).matrix)
+        spectral_norm(mpf_operator(heis3, t, scheme) - exact_evolution(heis3, t))
         for t in HALVING_GRID
     ]
     assert fit_loglog(HALVING_GRID, errs) > 5.0
@@ -133,7 +134,7 @@ def test_unitarity_defect_vanishes_at_order(heis3):
     scheme = solve_order_condition((1, 2), 2)
     defects = []
     for t in HALVING_GRID:
-        u = mpf_operator(heis3, t, scheme).matrix
+        u = mpf_operator(heis3, t, scheme)
         defects.append(spectral_norm(u.conj().T @ u - np.eye(8)))
     assert fit_loglog(HALVING_GRID, defects) >= 2 * 2 + 1
 
@@ -141,18 +142,18 @@ def test_unitarity_defect_vanishes_at_order(heis3):
 def test_mpf_evolve_basics(heis3, commuting3):
     scheme = solve_order_condition((1, 2), 2)
     one = mpf_evolve(heis3, 0.4, 1, scheme)
-    assert np.allclose(one.matrix, mpf_operator(heis3, 0.4, scheme).matrix, atol=1e-13)
+    assert np.allclose(one, mpf_operator(heis3, 0.4, scheme), atol=1e-13)
 
-    exact = exact_evolution(commuting3, 2.0).matrix
-    assert spectral_norm(mpf_evolve(commuting3, 2.0, 4, scheme).matrix - exact) <= 1e-8
+    exact = exact_evolution(commuting3, 2.0)
+    assert spectral_norm(mpf_evolve(commuting3, 2.0, 4, scheme) - exact) <= 1e-8
 
 
 def test_mpf_evolve_triangle_envelope(heis3):
     scheme = solve_order_condition((1, 2), 2)
     t_total, r = 1.0, 5
     delta = t_total / r
-    eps_step = spectral_norm(mpf_operator(heis3, delta, scheme).matrix - exact_evolution(heis3, delta).matrix)
-    global_err = spectral_norm(mpf_evolve(heis3, t_total, r, scheme).matrix - exact_evolution(heis3, t_total).matrix)
+    eps_step = spectral_norm(mpf_operator(heis3, delta, scheme) - exact_evolution(heis3, delta))
+    global_err = spectral_norm(mpf_evolve(heis3, t_total, r, scheme) - exact_evolution(heis3, t_total))
     assert global_err <= r * eps_step * (1 + eps_step) ** (r - 1)
 
 

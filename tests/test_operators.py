@@ -4,7 +4,6 @@ import scipy.linalg
 
 from conftest import commutator, nested_commutator, rand_anti_hermitian
 from mpf_lab.operators import (
-    DenseOperator,
     NonSquareError,
     NotAntiHermitianError,
     matrix_exponential,
@@ -16,40 +15,40 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_expm_zero_is_identity():
-    v = matrix_exponential(DenseOperator(np.zeros((2, 2), dtype=complex)))
-    assert np.allclose(v.matrix, np.eye(2), atol=1e-14)
+    v = matrix_exponential(np.zeros((2, 2), dtype=complex))
+    assert np.allclose(v, np.eye(2), atol=1e-14)
 
 
 def test_expm_pauli_z_quarter_period():
-    v = matrix_exponential(DenseOperator(-1j * (np.pi / 2) * Z))
-    assert np.allclose(v.matrix, np.diag([-1j, 1j]), atol=1e-12)
+    v = matrix_exponential(-1j * (np.pi / 2) * Z)
+    assert np.allclose(v, np.diag([-1j, 1j]), atol=1e-12)
 
 
 def test_expm_random_unitary_and_scipy_agree():
     rng = np.random.default_rng(7)
     a = rand_anti_hermitian(rng, 8)
-    v = matrix_exponential(DenseOperator(a))
-    assert spectral_norm(v.matrix.conj().T @ v.matrix - np.eye(8)) <= 1e-10
-    assert spectral_norm(v.matrix - scipy.linalg.expm(a)) <= 1e-10
+    v = matrix_exponential(a)
+    assert spectral_norm(v.conj().T @ v - np.eye(8)) <= 1e-10
+    assert spectral_norm(v - scipy.linalg.expm(a)) <= 1e-10
 
 
 def test_expm_rejects_non_anti_hermitian():
     with pytest.raises(NotAntiHermitianError):
-        matrix_exponential(DenseOperator(np.diag([1.0 + 0j, 2.0])))
+        matrix_exponential(np.diag([1.0 + 0j, 2.0]))
 
 
 @pytest.mark.parametrize("dim", [2, 16, 64])
 def test_expm_inverse_pair(dim):
     rng = np.random.default_rng(dim)
     a = rand_anti_hermitian(rng, dim)
-    v = matrix_exponential(DenseOperator(a))
-    w = matrix_exponential(DenseOperator(-a))
-    assert spectral_norm(v.matrix @ w.matrix - np.eye(dim)) <= 1e-9
+    v = matrix_exponential(a)
+    w = matrix_exponential(-a)
+    assert spectral_norm(v @ w - np.eye(dim)) <= 1e-9
 
 
 def test_spectral_norm_identity_and_diagonal():
-    assert spectral_norm(DenseOperator(np.eye(5, dtype=complex))) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_norm(DenseOperator(np.diag([1.0 + 0j, -3.0]))) == pytest.approx(3.0, abs=1e-12)
+    assert spectral_norm(np.eye(5, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_norm(np.diag([1.0 + 0j, -3.0])) == pytest.approx(3.0, abs=1e-12)
 
 
 def _power_iteration_norm(mat, steps=500, seed=0):
@@ -118,13 +117,10 @@ def test_jacobi_identity_residual():
     assert spectral_norm(total) <= 1e-9 * spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
 
 
-def test_dense_operator_validation_and_immutability():
-    with pytest.raises(NonSquareError):
-        DenseOperator(np.zeros((2, 3), dtype=complex))
-
-    source = np.eye(2, dtype=complex)
-    op = DenseOperator(source)
-    source[0, 0] = 99.0  # constructor must have copied
-    assert op.matrix[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
+def test_array_inputs_must_be_square():
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        bad = np.zeros(shape, dtype=complex)
+        with pytest.raises(NonSquareError):
+            matrix_exponential(bad)
+        with pytest.raises(NonSquareError):
+            spectral_norm(bad)
