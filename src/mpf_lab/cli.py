@@ -244,12 +244,13 @@ def cmd_convergence(config: RunConfig) -> str:
         order = 2 * p["p"] if evolver == "u2p" else {"u1": 1, "u2": 2}[evolver]
         scheme = mpf.solve_order_condition([1], 1, order)
     grid = _parse_grid(p["dt_grid"]) if p["dt_grid"] else None
+    top_error = None
     try:
         if grid is None:
-            grid = experiments.default_dt_grid(
+            grid, top_error = experiments.default_dt_grid(
                 h, scheme, points=p["points"], ratio=p["ratio"], start=p["start"]
             )
-        study = experiments.convergence_study(h, scheme, grid)
+        study = experiments.convergence_study(h, scheme, grid, top_error)
     except experiments.DegenerateGridError as exc:
         raise UsageError(str(exc)) from exc
     lines = ["dt,error,fitted_slope,r_squared,exact"]

@@ -162,30 +162,39 @@ def default_dt_grid(
     ratio: float = 2.0,
     start: float = 0.8,
 ) -> tuple:
-    """Geometric grid whose top step is shrunk until the scheme's one-step
-    error drops below 0.1."""
+    """(grid, top_error): a geometric grid whose top step is halved until
+    the scheme's one-step error drops below 0.1, and that error, which
+    convergence_study takes as top_error (None when 60 halvings never
+    brought it below 0.1, so the top step was not measured)."""
     if points < 4 or ratio <= 1.0 or start <= 0.0:
         raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
     top = start
     for _ in range(60):
-        if _powered_error(h, top, 1, scheme, _sector_targets(h, top)) < 0.1:
+        top_error = _powered_error(h, top, 1, scheme, _sector_targets(h, top))
+        if top_error < 0.1:
             break
         top /= 2.0
-    return tuple(top * ratio**-i for i in range(points))
+    else:
+        top_error = None
+    return tuple(top * ratio**-i for i in range(points)), top_error
 
 
 def convergence_study(
-    h: HamiltonianSum, scheme: MpfScheme, dt_grid=None
+    h: HamiltonianSum, scheme: MpfScheme, dt_grid=None, top_error=None
 ) -> ConvergenceStudy:
     """One-step error order fit for a linear-combination scheme; the
     one-term scheme solve_order_condition([1], 1, q) is the order-q product
     formula.
 
+    With no dt_grid the grid is default_dt_grid's. top_error, when given,
+    is the one-step error at dt_grid[0] already measured (default_dt_grid
+    returns it), and is not measured again.
+
     Points at the noise floor are dropped from the fit; a study whose
     points all sit there is returned with the exact flag instead.
     """
     if dt_grid is None:
-        dt_grid = default_dt_grid(h, scheme)
+        dt_grid, top_error = default_dt_grid(h, scheme)
     grid = tuple(float(dt) for dt in dt_grid)
     if len(grid) < 4:
         raise DegenerateGridError("need at least 4 grid points")
@@ -193,7 +202,11 @@ def convergence_study(
         a <= b for a, b in zip(grid, grid[1:])
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
-    errors = [_powered_error(h, dt, 1, scheme, _sector_targets(h, dt)) for dt in grid]
+    measured = [] if top_error is None else [top_error]
+    errors = measured + [
+        _powered_error(h, dt, 1, scheme, _sector_targets(h, dt))
+        for dt in grid[len(measured):]
+    ]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
     if not usable:
         return ConvergenceStudy(grid, tuple(errors), 0.0, 0.0, True)

@@ -5,6 +5,13 @@ unrolled at construction; evaluation walks the list left to right, matching
 the operator-product notation. Flat lists make the stage-count invariant
 checkable and keep evaluation order deterministic.
 
+Evaluation builds the transpose of the product, one row per basis state.
+Right multiplication by a Pauli string P then maps rows: row b takes
+phases[b] times row b ^ x. Viewed with one axis per qubit, row b ^ x is
+the array with the axes of the bits x sets reversed, so every stage is
+three in-place passes over a free strided view, with one buffer per
+evaluation and no gather (HamiltonianSum.stage_actions).
+
 A product formula of order q is the one-term linear-combination scheme
 mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
 """
@@ -69,23 +76,24 @@ def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
     return ProductFormulaSpec(order, stages)
 
 
-def _apply_stage(
-    out: np.ndarray, h: HamiltonianSum, g: int, scaled_t: float
-) -> np.ndarray:
-    """out @ exp(-i * scaled_t * H_g) for the Pauli term H_g = c P:
-    cos(theta) out - i sin(theta) out @ P with theta = scaled_t * c, where
-    right-multiplication by P is the column gather
-    (out @ P)[:, b] = phases[b] * out[:, perm[b]]."""
-    theta = scaled_t * h.terms[g].coefficient
-    if theta == 0.0:
-        return out
-    perm, phases = h.stage_actions[g]
-    return math.cos(theta) * out - (1j * math.sin(theta)) * (out[:, perm] * phases)
-
-
 def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.ndarray:
-    """Dense product over the stage list, left to right."""
-    out = np.eye(h.dim, dtype=np.complex128)
+    """Dense product over the stage list, left to right.
+
+    A stage exp(-i theta P), theta = fraction * t * coefficient, is built
+    into the transposed product y, viewed with shape (2,)*n + (dim,), as
+    y <- cos(theta) y - i sin(theta) phases * y[flip], y[flip] being the
+    view with the bit axes of P's x mask reversed
+    (HamiltonianSum.stage_actions).
+    """
+    y = np.eye(h.dim, dtype=np.complex128)
+    rows = y.reshape((2,) * h.n_qubits + (h.dim,))
+    buf = np.empty_like(rows)
     for g, c in spec.stages:
-        out = _apply_stage(out, h, g, c * t)
-    return out
+        theta = c * t * h.terms[g].coefficient
+        if theta == 0.0:
+            continue
+        flip, phases = h.stage_actions[g]
+        np.multiply(rows[flip], (-1j * math.sin(theta)) * phases, out=buf)
+        rows *= math.cos(theta)
+        rows += buf
+    return np.ascontiguousarray(y.T)

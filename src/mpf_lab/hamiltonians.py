@@ -125,9 +125,22 @@ class HamiltonianSum:
 
     @cached_property
     def stage_actions(self) -> tuple:
-        """(perm, phases) of every term's Pauli string, in term order
-        (pauli.string_action): P|b> = phases[b] |perm[b]>."""
-        return tuple(pauli.string_action(*t.masks(), self.n_qubits) for t in self.terms)
+        """(flip, phases) of every term's Pauli string P|b> = phases[b]
+        |b ^ x> (pauli.string_action), in term order, for the view of a
+        product's rows with shape (2,)*n + (dim,), bit k on axis n - 1 - k
+        (formulas.evaluate_spec): flip reverses the axes of the bits x sets,
+        which maps row b to row b ^ x, and phases has the view's shape."""
+        n = self.n_qubits
+        actions = []
+        for t in self.terms:
+            x, z = t.masks()
+            _, phases = pauli.string_action(x, z, n)
+            flip = tuple(
+                slice(None, None, -1) if x >> (n - 1 - axis) & 1 else slice(None)
+                for axis in range(n)
+            )
+            actions.append((flip, phases.reshape((2,) * n + (1,))))
+        return tuple(actions)
 
     @cached_property
     def eigh(self) -> tuple:
@@ -182,8 +195,8 @@ class HamiltonianSum:
         stage actions without forming any term matrix."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         cols = np.arange(self.dim)
-        for term, (perm, phases) in zip(self.terms, self.stage_actions):
-            out[perm, cols] += term.coefficient * phases
+        for term, (_, phases) in zip(self.terms, self.stage_actions):
+            out[cols ^ term.masks()[0], cols] += term.coefficient * phases.ravel()
         return out
 
     def commutator_weights(self, depth: int, budget: int) -> list[float]:

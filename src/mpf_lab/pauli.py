@@ -49,7 +49,8 @@ def string_action(x: int, z: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray
     i^y (-1)^(b.z), y the number of Y letters (sites with both bits set).
 
     So the dense matrix is P[perm, b] = phases, and right multiplication
-    is a column gather: (M @ P)[:, b] = phases[b] * M[:, perm[b]].'''
+    maps the rows of the transpose: (M @ P).T[b] = phases[b] * M.T[b ^ x],
+    the row map formulas.evaluate_spec applies.'''
     cols = np.arange(1 << n_qubits)
     signs = np.ones(cols.size, dtype=np.complex128)
     signs[np.bitwise_count(cols & z) & 1 == 1] = -1.0

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mpf_lab import pauli
 from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 
 _PAULI = {
@@ -25,6 +28,21 @@ def dense_sum(h):
     for term in h.terms:
         total += term.coefficient * kron_string(h.n_qubits, term.paulis)
     return total
+
+
+def gather_stage_product(h, t, spec):
+    """The stage product built as is, stage by stage, with right
+    multiplication by each Pauli string as a column gather from
+    pauli.string_action: (out @ P)[:, b] = phases[b] * out[:, perm[b]].
+    The oracle of formulas.evaluate_spec, bypassing the package's cache."""
+    out = np.eye(h.dim, dtype=np.complex128)
+    for g, c in spec.stages:
+        theta = c * t * h.terms[g].coefficient
+        if theta == 0.0:
+            continue
+        perm, phases = pauli.string_action(*h.terms[g].masks(), h.n_qubits)
+        out = math.cos(theta) * out - (1j * math.sin(theta)) * (out[:, perm] * phases)
+    return out
 
 
 def anticommute(a, b):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BAD_MODEL_FILES
-from mpf_lab import bch, pauli
+from mpf_lab import bch, mpf, pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table
 from mpf_lab.hamiltonians import (
@@ -162,6 +162,22 @@ class TestConvergence:
             for p in ("0", "-3"):
                 assert run("convergence", "--evolver", "u2p", "--p", p, *extra) == (
                     2, "", "error: p must be >= 1\n")
+
+    @pytest.mark.parametrize("extra, calls", [
+        (("--n", "3"), 8),  # steps 0.8, 0.4 and 0.2 to find the grid, then 5 more
+        (("--n", "6", "--evolver", "mpf", "--m", "3"), 14),  # 2 sectors
+    ])
+    def test_default_grid_measures_each_step_once(self, run, monkeypatch, extra, calls):
+        counted = []
+        operator = mpf.mpf_operator
+
+        def recorded(h, delta, scheme):
+            counted.append(delta)
+            return operator(h, delta, scheme)
+
+        monkeypatch.setattr(mpf, "mpf_operator", recorded)
+        assert run("convergence", "--model", "heisenberg", *extra)[0] == 0
+        assert len(counted) == calls
 
     def test_evolver_names_are_schemes(self, run):
         # u2, u2p with p = 1 and mpf with m = 1 all name the one-term

@@ -21,7 +21,7 @@ from mpf_lab.experiments import (
     heisenberg_benchmark,
     report_emit,
 )
-from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 from mpf_lab.mpf import mpf_operator, power_schedule, query_count, solve_order_condition
 from mpf_lab.operators import spectral_norm
 
@@ -106,13 +106,23 @@ class TestConvergenceStudy:
             convergence_study(heis3, U2, dt_grid=(0.2, 0.1, 0.05, -0.025))
 
     def test_default_grid(self, heis3):
-        grid = default_dt_grid(heis3, U2)
+        grid, top_error = default_dt_grid(heis3, U2)
         assert len(grid) == 6
         ratios = [a / b for a, b in zip(grid, grid[1:])]
         assert ratios == pytest.approx([2.0] * 5)
         study = convergence_study(heis3, U2, dt_grid=grid)
-        assert study.errors[0] < 0.1
-        assert convergence_study(heis3, U2).dt_grid == grid
+        assert study.errors[0] == top_error < 0.1
+        assert convergence_study(heis3, U2) == study
+        assert convergence_study(heis3, U2, grid, top_error) == study
+
+    def test_default_grid_without_a_measured_top_step(self):
+        # the error never drops below 0.1, so the top step, halved after
+        # its last probe, was not measured: the study measures every point
+        terms = (PauliTerm(1, 1e30, {0: "X"}), PauliTerm(1, 1e30, {0: "Z"}))
+        h = HamiltonianSum(1, terms)
+        grid, top_error = default_dt_grid(h, U2)
+        assert top_error is None and grid[0] == 0.8 / 2**60
+        assert convergence_study(h, U2).errors == convergence_study(h, U2, grid).errors
 
     def test_default_grid_validation(self, heis3):
         with pytest.raises(DegenerateGridError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from conftest import fit_loglog
+from conftest import fit_loglog, gather_stage_product
+from mpf_lab import pauli
 from mpf_lab.experiments import exact_evolution
 from mpf_lab.formulas import build_spec, evaluate_spec, suzuki_coefficient
-from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 from mpf_lab.mpf import MpfScheme, mpf_operator, solve_order_condition
 from mpf_lab.operators import spectral_norm
 
@@ -26,6 +28,63 @@ def test_one_term_scheme_is_the_stage_product(order, heis3):
     # exactly, not to a tolerance: a_1 = 1 and k_1 = 1 add no arithmetic
     want = evaluate_spec(heis3, 0.3, build_spec(order, heis3.gamma))
     assert np.array_equal(_formula(order)(heis3, 0.3), want)
+
+
+# Pauli sums on up to 6 qubits, zero coefficients included; the sum always
+# holds one string with a single Y, so an odd Y count and its phase i
+pauli_sums = st.integers(1, 6).flatmap(
+    lambda n: st.builds(
+        lambda raw, y_coefficient: HamiltonianSum(
+            n,
+            tuple(PauliTerm(n, c, letters) for c, letters in raw)
+            + (PauliTerm(n, y_coefficient, {n - 1: "Y"}),),
+        ),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n),
+            ),
+            max_size=5,
+        ),
+        st.floats(-2.0, 2.0),
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pauli_sums, st.floats(-1.5, 1.5), st.sampled_from([1, 2, 4]))
+def test_stage_product_matches_column_gather_oracle(h, t, order):
+    spec = build_spec(order, h.gamma)
+    assert np.array_equal(evaluate_spec(h, t, spec), gather_stage_product(h, t, spec))
+
+
+@pytest.mark.parametrize(
+    "sector",
+    [*heisenberg_1d(8).sectors, heisenberg_1d(10).sectors[1]],
+    ids=[f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"],
+)
+def test_stage_product_matches_oracle_in_chain_sectors(sector):
+    spec = build_spec(2, sector.gamma)
+    assert np.array_equal(
+        evaluate_spec(sector, 0.37, spec), gather_stage_product(sector, 0.37, spec)
+    )
+
+
+def test_stage_actions_are_built_once_per_model(monkeypatch, heis3):
+    built = []
+    action = pauli.string_action
+
+    def recorded(x, z, n_qubits):
+        built.append((x, z))
+        return action(x, z, n_qubits)
+
+    monkeypatch.setattr(pauli, "string_action", recorded)
+    spec = build_spec(2, heis3.gamma)
+    evaluate_spec(heis3, 0.3, spec)
+    actions = heis3.stage_actions
+    evaluate_spec(heis3, -0.2, spec)
+    assert heis3.stage_actions is actions
+    assert len(built) == heis3.gamma
 
 
 def test_suzuki_coefficient_values():

@@ -142,6 +142,25 @@ def test_dense_matches_term_sum_and_kron_oracle(spec, data):
     assert np.allclose(d, dense_sum(h), rtol=0.0, atol=1e-12)
 
 
+# a model file with Y letters, odd and even Y counts and mixed signs
+_Y_MODEL = json.dumps({"n": 3, "terms": [
+    {"n_qubits": 3, "coefficient": 0.7, "paulis": {"0": "Y"}},
+    {"n_qubits": 3, "coefficient": -1.3, "paulis": {"0": "X", "2": "Y"}},
+    {"n_qubits": 3, "coefficient": 0.25, "paulis": {"1": "Y", "2": "Y"}},
+    {"n_qubits": 3, "coefficient": 2.0, "paulis": {"0": "Z", "1": "Y", "2": "X"}},
+    {"n_qubits": 3, "coefficient": -0.5, "paulis": {"1": "Z"}},
+]})
+
+
+@pytest.mark.parametrize(
+    "h",
+    [heisenberg_1d(5), power_law_lattice(5, 1, 1.5, seed=3), from_model_json(_Y_MODEL)],
+    ids=["heis5", "pl-1d", "model-file"],
+)
+def test_dense_equals_kron_sum_exactly(h):
+    assert np.array_equal(h.dense(), dense_sum(h))
+
+
 def test_model_json_round_trips(xz1):
     for h in (heisenberg_1d(4), power_law_lattice(4, 1, 2.0), xz1):
         back = from_model_json(to_model_json(h))
