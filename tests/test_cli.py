@@ -102,6 +102,18 @@ class TestCommutators:
         code, _, err = run("commutators", "--model", "heisenberg", "--n", "33", "--allow-capped")
         assert code == 2 and "n <= 32" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "power_law", "--n", "8", "--d", "1", "--alpha", "2.0", "--seed", "3",
+         "--j-cap", "6"),
+        ("--model", "heisenberg", "--n", "9", "--j-cap", "10"),
+    ])
+    def test_dense_and_sorted_pauli_dp_print_the_same_bytes(self, run, monkeypatch, argv):
+        argv = ("commutators", *argv, "--budget", "1000000000")
+        dense = run(*argv)
+        assert dense[0] == 0
+        monkeypatch.setattr(pauli, "DENSE_KEY_BITS", 0)
+        assert run(*argv) == dense
+
     def test_budget_exit_and_capped_escape(self, run):
         code, _, err = run("commutators", "--model", "heisenberg", "--n", "4", "--budget", "50")
         assert code == 3

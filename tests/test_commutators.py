@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,11 +102,18 @@ def test_capped_alpha_is_an_upper_bound():
 
 def test_twelve_qubit_register(xz1):
     # X + Z on qubit 11 of a 12-qubit register: two reachable strings out
-    # of 4^12, so the default budget reaches any depth
+    # of 4^12, so the default budget reaches any depth; past
+    # pauli.DENSE_KEY_BITS the DP sorts its levels, with no 4^12 array
     h = HamiltonianSum(12, (PauliTerm(12, 1.0, {11: "X"}), PauliTerm(12, 1.0, {11: "Z"})))
-    table = build_table(h, 6)
+    tracemalloc.start()
+    try:
+        table = build_table(h, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert table.mode == "exact"
     assert [table.alpha[j] for j in range(1, 7)] == [build_table(xz1, 6).alpha[j] for j in range(1, 7)]
+    assert peak < 2**20
 
 
 _letters = st.dictionaries(st.integers(0, 2), st.sampled_from("XYZ"), max_size=3)

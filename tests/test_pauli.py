@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import anticommute, kron_string
+from mpf_lab import pauli
 from mpf_lab.pauli import (
     PAULI_MATRICES,
     dense_string,
@@ -91,3 +92,47 @@ def test_taper_rejects_generators_that_are_not_a_commuting_set():
 @given(site_maps)
 def test_sites_from_masks_inverts_masks_from_sites(paulis):
     assert sites_from_masks(*masks_from_sites(paulis)) == paulis
+
+
+# a few strings drawn with repeats, coefficients with signed zeros
+weighted_sums = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+            min_size=1,
+            max_size=4,
+        ).flatmap(
+            lambda pool: st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    weighted_sums,
+    st.integers(1, 8),
+    st.sampled_from([1, 10, 100, 1000, 10**9]),
+    st.sampled_from([1, 5, 1 << 18]),
+)
+def test_dense_and_sorted_pauli_dp_are_equal(spec, depth, budget, fold):
+    # the dense accumulator and the sort fold add the same contributions
+    # in the same order, so they agree exactly, list length included
+    n, terms = spec
+    strings = [s for s, _ in terms]
+    coefficients = [c for _, c in terms]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pauli, "DENSE_KEY_BITS", 2 * pauli.MAX_QUBITS)
+        dense = pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
+        mp.setattr(pauli, "DENSE_KEY_BITS", 0)
+        mp.setattr(pauli, "_FOLD", fold)
+        folded = pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
+    assert dense == folded
