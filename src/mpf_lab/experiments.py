@@ -312,8 +312,17 @@ def _minimal_r(
         lambda r: _powered_error(h, big_t, r, scheme, targets),
         eps,
         r_hint,
-        2 * scheme.half_order,
+        _error_order(scheme),
     )
+
+
+def _error_order(scheme: MpfScheme) -> int:
+    """p of the powered step's error law err ~ r^-p: the first power
+    k^-p in the base formula's error series that the order condition
+    leaves, m on a first-order base and max(q, 2m) on a symmetric base of
+    order q (a one-term scheme is the order-q formula itself)."""
+    m, q = scheme.half_order, scheme.base_order
+    return m if q == 1 else max(q, 2 * m)
 
 
 def _search_minimal_r(err, eps: float, r_hint: int, order: int) -> tuple:

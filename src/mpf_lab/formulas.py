@@ -12,6 +12,11 @@ the array with the axes of the bits x sets reversed, so every stage is
 three in-place passes over a free strided view, with one buffer per
 evaluation and no gather (HamiltonianSum.stage_actions).
 
+Every stage list of order 2 and up is an even-length palindrome (Suzuki's
+recursion is symmetric). When every term is real symmetric, so is every
+stage, and the product of B + reversed(B) is G G^T for G the product over
+B: evaluation sweeps the first half and ends with one matmul.
+
 A product formula of order q is the one-term linear-combination scheme
 mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
 """
@@ -84,11 +89,19 @@ def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.n
     y <- cos(theta) y - i sin(theta) phases * y[flip], y[flip] being the
     view with the bit axes of P's x mask reversed
     (HamiltonianSum.stage_actions).
+
+    When every term is real symmetric (HamiltonianSum.real_symmetric), so
+    is every stage, and an even-length palindrome B + reversed(B) has the
+    product G G^T, G the product over B: only B is swept, into y = G^T,
+    and the result is y^T y. Any other list is swept whole.
     """
+    stages = spec.stages
+    half = len(stages) // 2
+    mirrored = h.real_symmetric and stages[half:] == stages[:half][::-1]
     y = np.eye(h.dim, dtype=np.complex128)
     rows = y.reshape((2,) * h.n_qubits + (h.dim,))
     buf = np.empty_like(rows)
-    for g, c in spec.stages:
+    for g, c in stages[:half] if mirrored else stages:
         theta = c * t * h.terms[g].coefficient
         if theta == 0.0:
             continue
@@ -96,4 +109,4 @@ def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.n
         np.multiply(rows[flip], (-1j * math.sin(theta)) * phases, out=buf)
         rows *= math.cos(theta)
         rows += buf
-    return np.ascontiguousarray(y.T)
+    return y.T @ y if mirrored else np.ascontiguousarray(y.T)

@@ -85,9 +85,10 @@ class HamiltonianSum:
     part of the model file format.
 
     The sum also owns every piece of per-model data the kernels reuse:
-    the terms' stage actions, the eigendecomposition of the dense sum, the
-    symmetry sectors and the Pauli DP runs. Each is built on first use and
-    lives as long as the model does.
+    the terms' stage actions, whether every term is real symmetric, the
+    eigendecomposition of the dense sum, the symmetry sectors and the
+    Pauli DP runs. Each is built on first use and lives as long as the
+    model does.
     """
 
     n_qubits: int
@@ -141,6 +142,15 @@ class HamiltonianSum:
             )
             actions.append((flip, phases.reshape((2,) * n + (1,))))
         return tuple(actions)
+
+    @cached_property
+    def real_symmetric(self) -> bool:
+        """Whether every term is a real symmetric matrix: each Pauli
+        string has an even number of Y letters (P^T = (-1)^#Y P), so every
+        stage exp(-i theta P) is complex symmetric
+        (formulas.evaluate_spec)."""
+        strings = (t.masks() for t in self.terms)
+        return all((x & z).bit_count() % 2 == 0 for x, z in strings)
 
     @cached_property
     def eigh(self) -> tuple:

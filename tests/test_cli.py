@@ -480,6 +480,8 @@ class TestConfigAndIo:
         ("benchmark", "--n-list", "4,6,8", "--m-list", "1,2", "--eps", "1e-3",
          "--format", "json"),
         ("convergence", "--model", "heisenberg", "--n", "6"),
+        ("convergence", "--model", "heisenberg", "--n", "8", "--evolver", "u2p",
+         "--p", "2"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

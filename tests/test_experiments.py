@@ -414,6 +414,27 @@ class TestSearch:
         assert r == 100 and 99 in evals
         assert min(hint, experiments.R_CAP) in evals
 
+    @pytest.mark.parametrize("scheme, p", [
+        (solve_order_condition([1], 1, 4), 4),
+        (solve_order_condition([1], 1, 6), 6),
+        (solve_order_condition([1], 1, 1), 1),
+        (_scheme(3), 6),
+        (_scheme(2, base_order=1), 2),
+    ], ids=["u4", "u6", "u1", "mpf-m3", "mpf-m2-base1"])
+    def test_first_prediction_uses_the_scheme_order(self, monkeypatch, heis3, scheme, p):
+        predictions = []
+        predict = experiments._predict_crossing
+
+        def recorded(evals, eps, order, r_cap):
+            predictions.append((len(evals), order))
+            return predict(evals, eps, order, r_cap)
+
+        monkeypatch.setattr(experiments, "_predict_crossing", recorded)
+        # r = 1 misses eps for every scheme, so the search predicts
+        targets = experiments._sector_targets(heis3, 3.0)
+        experiments._minimal_r(heis3, 3.0, 1e-3, scheme, targets, 1)
+        assert predictions[0] == (1, p)
+
 
 class TestReport:
     def test_empty_csv_is_header_only(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import fit_loglog, gather_stage_product
 from mpf_lab import pauli
 from mpf_lab.experiments import exact_evolution
-from mpf_lab.formulas import build_spec, evaluate_spec, suzuki_coefficient
+from mpf_lab.formulas import (
+    ProductFormulaSpec,
+    build_spec,
+    evaluate_spec,
+    suzuki_coefficient,
+)
 from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 from mpf_lab.mpf import MpfScheme, mpf_operator, solve_order_condition
 from mpf_lab.operators import spectral_norm
@@ -58,16 +65,93 @@ def test_stage_product_matches_column_gather_oracle(h, t, order):
     assert np.array_equal(evaluate_spec(h, t, spec), gather_stage_product(h, t, spec))
 
 
-@pytest.mark.parametrize(
-    "sector",
-    [*heisenberg_1d(8).sectors, heisenberg_1d(10).sectors[1]],
-    ids=[f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"],
-)
-def test_stage_product_matches_oracle_in_chain_sectors(sector):
-    spec = build_spec(2, sector.gamma)
-    assert np.array_equal(
-        evaluate_spec(sector, 0.37, spec), gather_stage_product(sector, 0.37, spec)
+def _even_y(letters):
+    """letters with its lowest Y turned into Z if the Y count is odd."""
+    ys = sorted(site for site, letter in letters.items() if letter == "Y")
+    return {**letters, ys[0]: "Z"} if len(ys) % 2 else letters
+
+
+# Pauli sums on up to 6 qubits with an even number of Y letters in every
+# string, so every term and stage is real symmetric; zero coefficients
+# included
+real_pauli_sums = st.integers(1, 6).flatmap(
+    lambda n: st.builds(
+        lambda raw: HamiltonianSum(
+            n, tuple(PauliTerm(n, c, _even_y(letters)) for c, letters in raw)
+        ),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
     )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(real_pauli_sums, st.floats(-1.5, 1.5), st.sampled_from([2, 4]))
+def test_mirrored_product_matches_oracle_on_real_sums(h, t, order):
+    assert h.real_symmetric
+    spec = build_spec(order, h.gamma)
+    got = evaluate_spec(h, t, spec)
+    assert np.abs(got - gather_stage_product(h, t, spec)).max() <= 1e-14
+
+
+CHAIN_SECTORS = [*heisenberg_1d(8).sectors, heisenberg_1d(10).sectors[1]]
+CHAIN_SECTOR_IDS = [f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"]
+
+
+@pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
+def test_stage_product_matches_oracle_in_chain_sectors(sector):
+    # the kernel, bit for bit: the first half of U2 is not a palindrome,
+    # so it is swept whole
+    stages = build_spec(2, sector.gamma).stages
+    half = ProductFormulaSpec(2, stages[: len(stages) // 2])
+    assert np.array_equal(
+        evaluate_spec(sector, 0.37, half), gather_stage_product(sector, 0.37, half)
+    )
+
+
+@pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
+@pytest.mark.parametrize("order", [2, 4])
+def test_mirrored_product_matches_oracle_in_chain_sectors(sector, order):
+    assert sector.real_symmetric
+    spec = build_spec(order, sector.gamma)
+    got = evaluate_spec(sector, 0.37, spec)
+    assert np.abs(got - gather_stage_product(sector, 0.37, spec)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6])
+def test_mirrored_evaluation_applies_half_the_stages(monkeypatch, heis3, order):
+    # one sin call per applied stage
+    odd_y = HamiltonianSum(3, heis3.terms + (PauliTerm(3, 0.5, {0: "Y"}),))
+    assert heis3.real_symmetric and not odd_y.real_symmetric
+    calls = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+    for h, share in ((heis3, 0.5 if order > 1 else 1.0), (odd_y, 1.0)):
+        spec = build_spec(order, h.gamma)
+        calls.clear()
+        evaluate_spec(h, 0.3, spec)
+        assert len(calls) == len(spec.stages) * share
+
+
+def test_real_symmetric_is_built_once_per_model(monkeypatch, heis3):
+    spec = build_spec(2, heis3.gamma)
+    evaluate_spec(heis3, 0.3, spec)
+    built = []
+    masks = pauli.masks_from_sites
+
+    def recorded(sites):
+        built.append(sites)
+        return masks(sites)
+
+    monkeypatch.setattr(pauli, "masks_from_sites", recorded)
+    evaluate_spec(heis3, -0.2, spec)
+    assert built == []
 
 
 def test_stage_actions_are_built_once_per_model(monkeypatch, heis3):
@@ -109,6 +193,11 @@ def test_order_two_stages_palindromic():
     stages = build_spec(2, 4).stages
     assert stages == tuple(reversed(stages))
     assert all(c == 0.5 for _, c in stages)
+    for order in (2, 4, 6):
+        for gamma in (1, 3, 4):
+            stages = build_spec(order, gamma).stages
+            assert len(stages) % 2 == 0
+            assert stages == tuple(reversed(stages))
 
 
 def test_build_spec_rejects_odd_orders():
