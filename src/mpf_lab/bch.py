@@ -28,7 +28,7 @@ from .hamiltonians import HamiltonianSum
 from .operators import (
     DimMismatchError,
     _check_anti_hermitian,
-    _expm_anti_hermitian,
+    hermitian_evolution,
     spectral_norm,
 )
 
@@ -223,11 +223,10 @@ def dyson_expansion(a: np.ndarray, b: np.ndarray, p: int):
         _check_anti_hermitian(op)
     if a.shape != b.shape:
         raise DimMismatchError("dims differ")
-    herm = 1j * a
-    a_eig = np.linalg.eigh(herm)
     # eigh of iA gives e^(A g) = V diag(e^(-i w g)) V^H
+    a_eig = np.linalg.eigh(1j * a)
     b_norm = spectral_norm(b)
-    approx = _expm_anti_hermitian(a)
+    approx = hermitian_evolution(*a_eig)
     for l in range(1, p):
         tol = 1e-10 * max(b_norm**l / math.factorial(l), 1e-300)
         prev = None

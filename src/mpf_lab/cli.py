@@ -197,18 +197,15 @@ def cmd_scheme(config: RunConfig) -> str:
 
 def cmd_commutators(config: RunConfig) -> str:
     p = config.params
-    m = p["m"]
-    # checked here because build_table runs before mu_m would catch it
-    if m < 1:
-        raise UsageError("m must be >= 1")
-    j_cap = p["j_cap"] if p["j_cap"] is not None else 2 * m + 8
+    # mu_m's checks, run before the table's DP
+    _, j_cap = commutators.check_scan(p["m"], p["j_cap"], p["variant"])
     h = _build_model(config)
     table = commutators.build_table(h, j_cap + 1, budget=p["budget"])
     if table.mode == "capped" and not p["allow_capped"]:
         raise commutators.BudgetExceededError(
             "table is capped; pass --allow-capped to accept the envelope"
         )
-    report = commutators.mu_m(table, m, j_cap=j_cap, variant=p["variant"])
+    report = commutators.mu_m(table, p["m"], j_cap=j_cap, variant=p["variant"])
     radius = commutators.convergence_radius(table)
     alpha = {str(j): a for j, a in table.alpha.items()}
     return _dump({

@@ -3,10 +3,12 @@
 alpha[j] is the sum over all Gamma^j ordered index tuples of the spectral
 norm of the depth-j nested commutator of the Hamiltonian terms; depth 1 is
 the plain term-norm sum. lambda and mu homogenize composition products of
-alpha values; the variant picks the admissible compositions: any positive
-parts with any j >= m for a first-order base, even parts >= 2 with even
-j >= 2m for the second-order base, even parts >= 2p for a 2p-th-order base.
-The supremum over j is truncated at a cap and the report says whether the
+alpha values. The variant names the base formula's order (first_order,
+second_order, order_N for even N >= 4); its error series (first, step)
+(formulas.error_series) gives the parts first, first + step, ... and, for
+half-order m, the slices j = m*step, m*step + step, ... that
+composition_scan checks and scans for mu_m and the error bounds. The
+supremum over j is truncated at a cap and the report says whether the
 last slices were still raising it.
 
 Exact alpha values come from one dynamic program over weighted Pauli
@@ -29,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .formulas import error_series
 from .hamiltonians import HamiltonianSum, one_norm
 from .operators import spectral_norm
 
@@ -36,11 +39,14 @@ __all__ = [
     "AlphaEstimate",
     "BudgetExceededError",
     "CommutatorTable",
+    "CompositionScan",
     "MissingAlphaError",
     "MuReport",
     "PartitionBlowupError",
     "alpha_comm",
     "build_table",
+    "check_scan",
+    "composition_scan",
     "composition_sum",
     "convergence_radius",
     "lambda_jl",
@@ -127,7 +133,22 @@ class MuReport:
     j_cap: int
 
 
+@dataclass(frozen=True)
+class CompositionScan:
+    """composition_scan's result: the slices js = m*step, m*step + step,
+    ... <= j_cap, and _composition_tables' [l][j] tables for l <= m."""
+
+    variant: str
+    j_cap: int
+    js: range
+    sums: list
+    best: list
+    choice: list
+
+
 def _variant_base(variant: str) -> int:
+    """The base order a variant names: first_order, second_order, or
+    order_N for an order N >= 4 that formulas.error_series accepts."""
     if variant == "first_order":
         return 1
     if variant == "second_order":
@@ -135,33 +156,15 @@ def _variant_base(variant: str) -> int:
     if isinstance(variant, str) and variant.startswith("order_"):
         try:
             base = int(variant[6:])
+            if base >= 4 and error_series(base):
+                return base
         except ValueError:
-            base = 0
-        if base >= 4 and base % 2 == 0:
-            return base
+            pass
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def _variant_name(base: int) -> str:
-    if base == 1:
-        return "first_order"
-    if base == 2:
-        return "second_order"
-    return f"order_{base}"
-
-
-def _parts(base: int, limit: int) -> range:
-    """Admissible composition parts up to limit."""
-    if base == 1:
-        return range(1, limit + 1)
-    return range(base, limit + 1, 2)
-
-
-def _slice_js(base: int, m: int, j_cap: int) -> range:
-    """The j values scanned by the mu supremum."""
-    if base == 1:
-        return range(m, j_cap + 1)
-    return range(2 * m, j_cap + 1, 2)
+    return {1: "first_order", 2: "second_order"}.get(base, f"order_{base}")
 
 
 # --- alpha ---------------------------------------------------------------
@@ -256,7 +259,8 @@ def _composition_tables(table: CommutatorTable, j_max: int, l_max: int, base: in
     best = [[-math.inf] * (j_max + 1) for _ in range(l_max + 1)]
     choice = [[0] * (j_max + 1) for _ in range(l_max + 1)]
     sums[0][0] = best[0][0] = 1.0
-    parts = list(_parts(base, j_max))
+    first, step = error_series(base)
+    parts = range(first, j_max + 1, step)
     for l in range(1, l_max + 1):
         for j in range(1, j_max + 1):
             s = 0.0
@@ -284,14 +288,35 @@ def _best_composition(best: list, choice: list, j: int, l: int) -> tuple:
     return tuple(sorted(comp, reverse=True))
 
 
-def _upper(best: list, base: int, m: int, j_cap: int) -> float:
-    """2 * sup over the scanned (j, l) of best[l][j]^(1/(j+l)); dominates
-    mu_m because composition counts stay below 2^(j-1)."""
-    top = 0.0
-    for j in _slice_js(base, m, j_cap):
-        for l in range(1, m + 1):
-            top = max(top, max(best[l][j], 0.0) ** (1.0 / (j + l)))
-    return 2.0 * top
+def check_scan(m: int, j_cap: int | None = None, variant="second_order") -> tuple:
+    """(base order, j_cap) of a composition scan, j_cap defaulting to 2m+8,
+    checked without a table: a known variant, m >= 1 and
+    2m <= j_cap <= PARTITION_J_CAP."""
+    base = _variant_base(variant)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if j_cap is None:
+        j_cap = 2 * m + 8
+    if j_cap < 2 * m:
+        raise ValueError("j_cap must be >= 2m")
+    if j_cap > PARTITION_J_CAP:
+        raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
+    return base, j_cap
+
+
+def composition_scan(
+    table: CommutatorTable, m: int, j_cap: int | None = None, variant="second_order"
+) -> CompositionScan:
+    """The composition pass over j <= j_cap and l <= m that mu_m and the
+    error bounds read: check_scan, then table.require(j_cap + 1)
+    (MissingAlphaError), then _composition_tables."""
+    base, j_cap = check_scan(m, j_cap, variant)
+    table.require(j_cap + 1)
+    step = error_series(base)[1]
+    return CompositionScan(
+        _variant_name(base), j_cap, range(m * step, j_cap + 1, step),
+        *_composition_tables(table, j_cap, m, base),
+    )
 
 
 def composition_sum(
@@ -312,8 +337,9 @@ def _check_jl(j: int, l: int, base: int) -> None:
         raise ValueError("j must be >= 1")
     if j > PARTITION_J_CAP:
         raise PartitionBlowupError(f"j = {j} beyond supported {PARTITION_J_CAP}")
-    if base != 1 and j % 2 != 0:
-        raise ValueError("j must be even for symmetric-base variants")
+    step = error_series(base)[1]
+    if j % step:
+        raise ValueError(f"j must be a multiple of {step} for this variant")
 
 
 def lambda_jl(
@@ -329,31 +355,25 @@ def mu_m(
 ) -> MuReport:
     """Truncated sup of lambda_jl over the variant's index set.
 
-    Scans j up to j_cap (default 2m+8) and l up to m; the supremum runs
-    over an infinite index set, so tail_clear reports whether the last
-    two slices left the running sup alone.  When several cells attain
-    the sup to within 1e-12 relative (exact for geometric alpha tables,
-    where every (2l, l) cell ties), the reported argmax is the tied cell
-    with the most commutator factors.
+    Scans composition_scan's slices j <= j_cap (default 2m+8) and l up
+    to m; the supremum runs over an infinite index set, so tail_clear
+    reports whether the last two slices left the running sup alone.  When
+    several cells attain the sup to within 1e-12 relative (exact for
+    geometric alpha tables, where every (2l, l) cell ties), the reported
+    argmax is the tied cell with the most commutator factors. mu_upper is
+    2 * sup of best[l][j]^(1/(j+l)) over the same cells; it dominates mu_m
+    because composition counts stay below 2^(j-1).
     """
-    base = _variant_base(variant)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if j_cap is None:
-        j_cap = 2 * m + 8
-    if j_cap < 2 * m:
-        raise ValueError("j_cap must be >= 2m")
-    if j_cap > PARTITION_J_CAP:
-        raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
-    table.require(j_cap + 1)
-    sums, best_products, choice = _composition_tables(table, j_cap, m, base)
+    scan = composition_scan(table, m, j_cap, variant)
     best = -1.0
     arg = (0, 0)
     improved = []
-    for j in _slice_js(base, m, j_cap):
+    top = 0.0
+    for j in scan.js:
         moved = False
         for l in range(1, m + 1):
-            value = sums[l][j] ** (1.0 / (j + l))
+            top = max(top, max(scan.best[l][j], 0.0) ** (1.0 / (j + l)))
+            value = scan.sums[l][j] ** (1.0 / (j + l))
             if value > best * (1.0 + 1e-12):
                 best = max(best, value)
                 arg = (j, l)
@@ -364,15 +384,15 @@ def mu_m(
                 arg = (j, l)
         improved.append(moved)
     tail_clear = not any(improved[-2:])
-    partition = _best_composition(best_products, choice, arg[0], arg[1])
+    partition = _best_composition(scan.best, scan.choice, arg[0], arg[1])
     return MuReport(
         m=m,
         mu_m=float(best),
         argmax=(arg[0], arg[1], partition),
-        mu_upper=_upper(best_products, base, m, j_cap),
-        variant=_variant_name(base),
+        mu_upper=2.0 * top,
+        variant=scan.variant,
         tail_clear=tail_clear,
-        j_cap=j_cap,
+        j_cap=scan.j_cap,
     )
 
 

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutators import (
-    PARTITION_J_CAP,
     CommutatorTable,
-    PartitionBlowupError,
-    _composition_tables,
     build_table,
+    composition_scan,
     convergence_radius,
     mu_m,
 )
+from .formulas import error_series
 from .hamiltonians import HamiltonianSum, heisenberg_1d
 from .mpf import (
     MpfScheme,
@@ -40,7 +39,7 @@ from .mpf import (
     query_count,
     solve_order_condition,
 )
-from .operators import spectral_norm
+from .operators import hermitian_evolution, spectral_norm
 
 __all__ = [
     "BenchmarkCell",
@@ -134,8 +133,7 @@ class ScalingResult:
 def exact_evolution(h: HamiltonianSum, t: float) -> np.ndarray:
     """exp(-iHt) from the model's Hermitian eigendecomposition
     (HamiltonianSum.eigh, computed once per model)."""
-    w, v = h.eigh
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    return hermitian_evolution(*h.eigh, t)
 
 
 def _sector_targets(h: HamiltonianSum, t: float) -> tuple:
@@ -227,9 +225,11 @@ def error_bound_evaluate(
     measured error.
 
     Returns (ErrorBudget, measured). The bound is the coefficient 1-norm
-    times sum over even j in [2m, j_cap], l in [1, m] of
-    delta^(j+l)/l! * composition_sum(j, l); per-j contributions also split
-    into the correction-term bounds (l < m) and the remainder bound (l = m).
+    times the sum over the slices j of commutators.composition_scan (the
+    second-order series: even j in [2m, j_cap]) and l in [1, m] of the
+    terms delta^(j+l)/l! * composition_sum(j, l). Each term is computed
+    once; per-j they also split into the correction-term bounds (l < m)
+    and the remainder bound (l = m).
     tail_clear certifies the neglected tail is summable: either the last
     j slice already decreased, or delta sits strictly inside the radius
     estimate, making the slice ratio geometric below one (the composition
@@ -242,44 +242,29 @@ def error_bound_evaluate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     m = scheme.half_order
-    if j_cap is None:
-        j_cap = 2 * m + 8
-    if j_cap < 2 * m:
-        raise ValueError("j_cap must be >= 2m")
-    table.require(j_cap + 1)
+    # scan.sums[l][j]: the composition_sum(table, j, l) of every cell
+    scan = composition_scan(table, m, j_cap)
     radius = convergence_radius(table)
     if delta > radius:
         raise PremiseViolatedError(
             f"delta = {delta} exceeds heuristic radius {radius:.6g}"
         )
-    if j_cap > PARTITION_J_CAP:
-        raise PartitionBlowupError(f"j_cap = {j_cap} beyond {PARTITION_J_CAP}")
-    # sums[l][j]: the composition_sum(table, j, l) of every cell, one pass
-    sums = _composition_tables(table, j_cap, m, 2)[0]
-    e_tilde = {}
-    slice_totals = []
-    thm_sum = 0.0
-    for j in range(2 * m, j_cap + 1, 2):
-        corrections = 0.0
-        for l in range(1, min(j // 2, m - 1) + 1):
-            corrections += delta ** (l - 1) / math.factorial(l) * sums[l][j]
-        e_tilde[j] = delta ** (j + 1) * corrections
-        slice_total = 0.0
-        for l in range(1, m + 1):
-            slice_total += delta ** (j + l) / math.factorial(l) * sums[l][j]
-        slice_totals.append(slice_total)
-        thm_sum += slice_total
-    f_tilde = (delta ** (3 * m) / math.factorial(m)) * sum(
-        delta ** (j - 2 * m) * sums[m][j]
-        for j in range(2 * m, j_cap + 1, 2)
-    )
+    e_tilde, f_tilde, slice_totals = {}, 0.0, []
+    for j in scan.js:
+        terms = [
+            delta ** (j + l) / math.factorial(l) * scan.sums[l][j]
+            for l in range(1, m + 1)
+        ]
+        e_tilde[j] = sum(terms[:-1], 0.0)
+        f_tilde += terms[-1]
+        slice_totals.append(sum(terms))
     trend_clear = len(slice_totals) >= 2 and slice_totals[-1] <= slice_totals[-2]
     tail_clear = trend_clear or delta < radius
     budget = ErrorBudget(
         e_tilde_bounds=e_tilde,
         f_tilde_bound=f_tilde,
-        thm_bound=scheme.a_norm * thm_sum,
-        truncation_depth=j_cap,
+        thm_bound=scheme.a_norm * sum(slice_totals),
+        truncation_depth=scan.j_cap,
         tail_clear=tail_clear,
     )
     return budget, _powered_error(h, delta, 1, scheme, _sector_targets(h, delta))
@@ -318,11 +303,11 @@ def _minimal_r(
 
 def _error_order(scheme: MpfScheme) -> int:
     """p of the powered step's error law err ~ r^-p: the first power
-    k^-p in the base formula's error series that the order condition
-    leaves, m on a first-order base and max(q, 2m) on a symmetric base of
-    order q (a one-term scheme is the order-q formula itself)."""
-    m, q = scheme.half_order, scheme.base_order
-    return m if q == 1 else max(q, 2 * m)
+    k^-p in the base formula's error series (formulas.error_series) that
+    the order condition leaves (a one-term scheme is the base formula
+    itself)."""
+    first, step = error_series(scheme.base_order)
+    return max(first, scheme.half_order * step)
 
 
 def _search_minimal_r(err, eps: float, r_hint: int, order: int) -> tuple:

@@ -33,6 +33,7 @@ from .hamiltonians import HamiltonianSum
 __all__ = [
     "ProductFormulaSpec",
     "build_spec",
+    "error_series",
     "evaluate_spec",
     "suzuki_coefficient",
 ]
@@ -63,15 +64,26 @@ def _u2_stages(gamma: int) -> tuple:
     return tuple(back + forth)
 
 
+def error_series(order: int) -> tuple[int, int]:
+    """(first, step): U(t) - exp(-iHt) for the order-q formula has only the
+    terms t^(j+1) with j = first, first + step, ...; (1, 1) for order 1 and
+    (q, 2) for a symmetric formula of even order q. An m-term combination
+    (mpf) cancels the powers j < m * step. This fixes the order-condition
+    rows, the compositions of the commutator metrics and the r search's
+    error law. Any other order raises ValueError."""
+    if order == 1:
+        return 1, 1
+    if order < 2 or order % 2:
+        raise ValueError(f"order must be 1 or even, got {order}")
+    return order, 2
+
+
 def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
     """Stage list for order 1, 2, or any even order via the recursion
     U_{2p+2}(t) = U_2p(s_p t)^2 U_2p((1-4 s_p) t) U_2p(s_p t)^2."""
+    error_series(order)
     if order == 1:
         return ProductFormulaSpec(1, _u1_stages(gamma))
-    if order == 2:
-        return ProductFormulaSpec(2, _u2_stages(gamma))
-    if order < 1 or order % 2:
-        raise ValueError(f"order must be 1 or even, got {order}")
     stages = _u2_stages(gamma)
     for p in range(1, order // 2):
         s_p = suzuki_coefficient(p)

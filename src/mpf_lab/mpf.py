@@ -1,21 +1,21 @@
 """Linear-combination schemes over powered splitting formulas.
 
-The order condition is a Vandermonde-type system in the nodes k_j^-2 (or
-k_j^-1 for a first-order base); closed-form Lagrange weights are the primary
-solver because explicit Vandermonde solves are notoriously ill-conditioned,
-and every solution is checked by its order-condition residual. Conditioning
-is always observable through ||a||_1 and ||k||_1.
+The order condition cancels the leading powers of the base formula's error
+series (formulas.error_series). For bases 1 and 2 it is a Vandermonde system
+in the nodes k_j^-step; closed-form Lagrange weights are the primary solver
+because explicit Vandermonde solves are notoriously ill-conditioned, and
+every solution is checked by its order-condition residual. Conditioning is
+always observable through ||a||_1 and ||k||_1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import build_spec, evaluate_spec
+from .formulas import build_spec, error_series, evaluate_spec
 from .hamiltonians import HamiltonianSum
 
 __all__ = [
@@ -48,8 +48,8 @@ class NonPositiveError(ValueError):
 class MpfScheme:
     """Coefficients a_j and powers k_j of a linear-combination scheme.
 
-    half_order m targets local order 2m+1 on a second-order base
-    (m+1 on a first-order base).
+    half_order m cancels the powers j < m * step of the base formula's error
+    series (formulas.error_series), leaving local order max(first, m*step)+1.
     """
 
     base_order: int
@@ -79,18 +79,12 @@ class MpfScheme:
 
 
 def _condition_exponents(m: int, base_order: int) -> list[tuple[int, float]]:
-    """(exponent, right-hand side) pairs of the order condition."""
+    """(exponent, right-hand side) pairs of the order condition: e = 0 and
+    the error-series powers the combination cancels."""
     if m < 1:
         raise NonPositiveError("m must be >= 1")
-    if base_order == 1:
-        exps = list(range(m))
-    elif base_order == 2:
-        exps = [2 * q for q in range(m)]
-    elif base_order >= 4 and base_order % 2 == 0:
-        exps = [0] + list(range(base_order, 2 * m - 1, 2))
-    else:
-        raise ValueError(f"unsupported base order {base_order}")
-    return [(e, 1.0 if e == 0 else 0.0) for e in exps]
+    first, step = error_series(base_order)
+    return [(0, 1.0)] + [(e, 0.0) for e in range(first, m * step, step)]
 
 
 def _lagrange_weights(powers: tuple, node_power: int) -> list[float]:
@@ -112,9 +106,10 @@ def solve_order_condition(
 ) -> MpfScheme:
     """Coefficients solving the order condition for the given powers.
 
-    For bases 1 and 2 the closed-form Lagrange weights in the transformed
-    nodes are used; the gapped systems of higher even bases are solved
-    directly. Residual is checked against 1e-8 * ||a||_1 either way.
+    Where the rows are 0, step, 2 step, ... (bases 1 and 2) the closed-form
+    Lagrange weights in the nodes k^-step are used; the gapped systems of
+    higher even bases are solved directly. Residual is checked against
+    1e-8 * ||a||_1 either way.
 
     Raises:
         DuplicatePowersError: If powers repeat.
@@ -131,8 +126,9 @@ def solve_order_condition(
         raise SizeMismatchError(
             f"{len(rows)} rows need {len(rows)} powers, got {len(powers)}"
         )
-    if base_order in (1, 2):
-        coeffs = _lagrange_weights(powers, base_order)
+    first, step = error_series(base_order)
+    if first == step:
+        coeffs = _lagrange_weights(powers, step)
     else:
         matrix = np.array(
             [[float(k) ** (-e) for k in powers] for e, _ in rows]
@@ -147,23 +143,19 @@ def solve_order_condition(
     return scheme
 
 
-def _schedule_size(m: int, base_order: int) -> int:
-    return len(_condition_exponents(m, base_order))
-
-
 def power_schedule(
     m: int, strategy: str = "natural", base_order: int = 2
 ) -> tuple:
     """Power list for a target half-order.
 
-    ``natural`` is 1..M. ``min_a_norm`` searches M-subsets of [1, 8m] for
-    the smallest ||a||_1: exhaustively for m <= 4, by deterministic
-    single-swap descent from the natural schedule above that. Ties break
-    toward smaller ||k||_1, then lexicographic order.
+    M is the order condition's row count (_condition_exponents, from
+    formulas.error_series). ``natural`` is 1..M. ``min_a_norm`` searches
+    M-subsets of [1, 8m] for the smallest ||a||_1 by deterministic
+    single-swap descent from the natural schedule, stopping at a subset no
+    single swap improves. Ties break toward smaller ||k||_1, then
+    lexicographic order.
     """
-    if m < 1:
-        raise NonPositiveError("m must be >= 1")
-    size = _schedule_size(m, base_order)
+    size = len(_condition_exponents(m, base_order))
     natural = tuple(range(1, size + 1))
     if strategy == "natural":
         return natural
@@ -175,11 +167,6 @@ def power_schedule(
         scheme = solve_order_condition(subset, m, base_order)
         return (scheme.a_norm, scheme.k_norm, subset)
 
-    if m <= 4:
-        best = min(
-            score(c) for c in itertools.combinations(range(1, cap + 1), size)
-        )
-        return best[2]
     current = score(natural)
     improved = True
     while improved:

@@ -3,9 +3,9 @@
 An operator is a plain square complex ndarray. Everything downstream
 (product formulas, linear-combination schemes, the commutator machinery)
 funnels through the handful of primitives collected here: the
-eigendecomposition matrix exponential and the spectral norm. Commutators
-of dense matrices are formed where they are used (bch) or in the test
-oracles.
+eigendecomposition matrix exponential (hermitian_evolution) and the
+spectral norm. Commutators of dense matrices are formed where they are
+used (bch) or in the test oracles.
 
 Producers return the array they built, without a copy and never as a view
 into caller data. The functions that take an array from a caller check
@@ -21,6 +21,7 @@ __all__ = [
     "DimMismatchError",
     "NonSquareError",
     "NotAntiHermitianError",
+    "hermitian_evolution",
     "matrix_exponential",
     "spectral_norm",
 ]
@@ -57,15 +58,10 @@ def _check_anti_hermitian(a: np.ndarray) -> None:
         )
 
 
-def _expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp of an anti-Hermitian array via eigendecomposition of i*a.
-
-    Internal fast path shared with the formula modules; assumes the input
-    has already been checked.
-    """
-    herm = 1j * a
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+def hermitian_evolution(w: np.ndarray, v: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(-i t H) = V diag(exp(-i t w)) V^dagger from the eigendecomposition
+    (w, v) = np.linalg.eigh(H) of a Hermitian H."""
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -94,7 +90,7 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
         True
     """
     _check_anti_hermitian(a)
-    return _expm_anti_hermitian(a)
+    return hermitian_evolution(*np.linalg.eigh(1j * a))
 
 
 def spectral_norm(a: np.ndarray) -> float:

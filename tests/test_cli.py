@@ -124,6 +124,23 @@ class TestCommutators:
         assert code == 0
         assert json.loads(out)["table"]["mode"] == "capped"
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--j-cap", "30"), "j_cap = 30 beyond 24"),
+        (("--j-cap", "30", "--allow-capped"), "j_cap = 30 beyond 24"),
+        (("--j-cap", "3", "--m", "2"), "j_cap must be >= 2m"),
+        (("--m", "0"), "m must be >= 1"),
+        (("--variant", "order_3"), "unknown variant 'order_3'"),
+        (("--variant", "order_2"), "unknown variant 'order_2'"),
+    ])
+    def test_options_checked_before_the_table(self, run, monkeypatch, extra, message):
+        # a bad m, j_cap or variant is a usage error before any DP level
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the Pauli DP ran")
+
+        monkeypatch.setattr(pauli, "commutator_weight_table", no_dp)
+        argv = ("commutators", "--model", "heisenberg", "--n", "10", *extra)
+        assert run(*argv) == (2, "", f"error: {message}\n")
+
     def test_model_file(self, run, tmp_path, xz1):
         path = tmp_path / "model.json"
         path.write_text(to_model_json(xz1))

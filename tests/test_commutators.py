@@ -176,7 +176,9 @@ def _brute_composition_sum(table, j, l, base):
     st.lists(st.floats(0.0, 4.0), min_size=9, max_size=9),
     st.integers(2, 8),
     st.integers(1, 3),
-    st.sampled_from([("first_order", 1), ("second_order", 2), ("order_4", 4)]),
+    st.sampled_from(
+        [("first_order", 1), ("second_order", 2), ("order_4", 4), ("order_6", 6)]
+    ),
 )
 def test_composition_sum_matches_brute_force(values, j, l, variant_base):
     variant, base = variant_base
@@ -201,7 +203,9 @@ def _brute_best_products(table, j, l, base):
 @given(
     st.lists(st.floats(0.0, 4.0), min_size=11, max_size=11),
     st.integers(1, 3),
-    st.sampled_from([("first_order", 1), ("second_order", 2), ("order_4", 4)]),
+    st.sampled_from(
+        [("first_order", 1), ("second_order", 2), ("order_4", 4), ("order_6", 6)]
+    ),
 )
 def test_mu_upper_and_argmax_partition_match_brute_force(values, m, variant_base):
     # mu_m reads the upper bound and the argmax partition off the same
@@ -320,12 +324,12 @@ def test_variant_monotonicity(xz1, heis3):
 
 def test_variant_parsing(xz1):
     table = build_table(xz1, 6)
-    assert mu_m(table, 1, j_cap=4, variant="second_order").variant == "second_order"
-    assert mu_m(table, 1, j_cap=4, variant="first_order").variant == "first_order"
-    with pytest.raises(ValueError):
-        mu_m(table, 1, j_cap=4, variant=2)  # variants are named, not numbered
-    with pytest.raises(ValueError):
-        mu_m(table, 1, j_cap=4, variant="order_3")
+    for variant in ("first_order", "second_order", "order_4", "order_6"):
+        assert mu_m(table, 1, j_cap=4, variant=variant).variant == variant
+    # variants are named, not numbered; order_2 is spelled second_order
+    for variant in (2, "order_2", "order_3", "order_x", "order_1"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            mu_m(table, 1, j_cap=4, variant=variant)
 
 
 def test_mu_input_validation(xz1):

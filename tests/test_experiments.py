@@ -414,6 +414,16 @@ class TestSearch:
         assert r == 100 and 99 in evals
         assert min(hint, experiments.R_CAP) in evals
 
+    # p of err ~ r^-p by base order for m = 1..4, written out by hand: the
+    # first power the order condition leaves, m on a first-order base and
+    # the larger of q and 2m on a symmetric order-q one
+    @pytest.mark.parametrize("base_order, orders", [
+        (1, (1, 2, 3, 4)), (2, (2, 4, 6, 8)), (4, (4, 4, 6, 8)), (6, (6, 6, 6, 8)),
+    ])
+    def test_error_order_pinned(self, base_order, orders):
+        for m, p in enumerate(orders, start=1):
+            assert experiments._error_order(_scheme(m, base_order)) == p
+
     @pytest.mark.parametrize("scheme, p", [
         (solve_order_condition([1], 1, 4), 4),
         (solve_order_condition([1], 1, 6), 6),

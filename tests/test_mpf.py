@@ -5,11 +5,12 @@ import pytest
 
 from conftest import fit_loglog
 from mpf_lab.experiments import exact_evolution
-from mpf_lab.formulas import build_spec, evaluate_spec
+from mpf_lab.formulas import build_spec, error_series, evaluate_spec
 from mpf_lab.mpf import (
     DuplicatePowersError,
     NonPositiveError,
     SizeMismatchError,
+    _condition_exponents,
     mpf_evolve,
     mpf_operator,
     power_schedule,
@@ -42,6 +43,40 @@ def test_base1_and_base4_rows():
     # base 4 uses rows {0, 4}: [[1,1],[1,1/16]] a = (1,0)
     b4 = solve_order_condition((1, 2), 3, base_order=4)
     assert b4.coefficients == pytest.approx((-1 / 15, 16 / 15), abs=1e-12)
+
+
+# order-condition exponents by base order and m = 1..4, written out by hand:
+# the first-order error has every power, a symmetric order-q one the even
+# powers from q on, and m terms cancel the powers below m (base 1) or 2m
+CONDITION_ROWS = {
+    1: ([0], [0, 1], [0, 1, 2], [0, 1, 2, 3]),
+    2: ([0], [0, 2], [0, 2, 4], [0, 2, 4, 6]),
+    4: ([0], [0], [0, 4], [0, 4, 6]),
+    6: ([0], [0], [0], [0, 6]),
+}
+
+
+@pytest.mark.parametrize("base_order", sorted(CONDITION_ROWS))
+def test_condition_rows_pinned(base_order):
+    for m, exponents in enumerate(CONDITION_ROWS[base_order], start=1):
+        rows = _condition_exponents(m, base_order)
+        assert rows == [(e, 1.0 if e == 0 else 0.0) for e in exponents]
+
+
+@pytest.mark.parametrize("order", [0, 3, 5, -2])
+def test_orders_outside_the_error_series_rule_are_rejected(order):
+    with pytest.raises(ValueError, match="order must be 1 or even"):
+        error_series(order)
+    with pytest.raises(ValueError, match="order must be 1 or even"):
+        build_spec(order, 2)
+    with pytest.raises(ValueError, match="order must be 1 or even"):
+        solve_order_condition((1,), 1, base_order=order)
+
+
+def test_error_series_values():
+    assert [error_series(q) for q in (1, 2, 4, 6, 8)] == [
+        (1, 1), (2, 2), (4, 2), (6, 2), (8, 2)
+    ]
 
 
 def _vandermonde_solve(powers, m):
@@ -77,14 +112,23 @@ def test_power_schedule_natural():
     assert power_schedule(3) == (1, 2, 3)
 
 
-def test_power_schedule_min_a_norm_matches_exhaustive_search():
+def _exhaustive_min_a_norm(m, base_order):
+    size = len(power_schedule(m, base_order=base_order))
     best = None
-    for combo in itertools.combinations(range(1, 25), 3):
-        s = solve_order_condition(combo, 3)
+    for combo in itertools.combinations(range(1, 8 * m + 1), size):
+        s = solve_order_condition(combo, m, base_order)
         key = (s.a_norm, s.k_norm, combo)
         if best is None or key < best:
             best = key
-    assert power_schedule(3, strategy="min_a_norm") == best[2]
+    return best[2]
+
+
+def test_power_schedule_min_a_norm_matches_exhaustive_search():
+    # the single-swap descent finds the exhaustive optimum on these sizes
+    cases = [(m, base) for base in (1, 2, 4) for m in (1, 2, 3)] + [(4, 2)]
+    for m, base_order in cases:
+        got = power_schedule(m, "min_a_norm", base_order)
+        assert got == _exhaustive_min_a_norm(m, base_order), (m, base_order)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
