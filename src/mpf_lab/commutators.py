@@ -156,7 +156,8 @@ def _variant_base(variant: str) -> int:
     if isinstance(variant, str) and variant.startswith("order_"):
         try:
             base = int(variant[6:])
-            if base >= 4 and error_series(base):
+            # int() also reads "4_0", "04" and "+4"; only the canonical name passes
+            if base >= 4 and error_series(base) and variant == _variant_name(base):
                 return base
         except ValueError:
             pass

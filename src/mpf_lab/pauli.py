@@ -225,6 +225,12 @@ def _fold(parts: list) -> tuple:
     return keys, np.bincount(slot, np.concatenate([w for _, w in parts]))
 
 
+def _anticommuting(keys: np.ndarray, swap) -> np.ndarray:
+    """Bool view of which keys anticommute with the term whose swapped key
+    is swap: odd popcount of key & swap, a 0/1 uint8 array read as bool."""
+    return (np.bitwise_count(keys & swap) & 1).view(bool)
+
+
 def _reached(acc: np.ndarray) -> tuple:
     """Ascending keys of the slots some weight was added to (the sum of
     non-negative weights onto -0.0 has no sign bit), with their sums."""
@@ -254,12 +260,20 @@ def commutator_weight_table(
     distinct keys, XOR by its key being a bijection, so a fancy-index +=
     is exact. Above it the moved keys are sorted and equal ones summed
     (_fold). Both paths add each key's contributions in term order onto
-    zero and keep the strings whose sum is zero, so they return equal
-    lists.
+    zero and keep the strings whose sum is zero, so they hold equal
+    frontiers.
 
-    A step costs Gamma * |frontier| work units. The DP stops before the
-    step that would take its total past the budget, so the returned list
-    can be shorter than depth; depth 1 is free.
+    The deepest level is summed, not built: its total is
+    sum_k w(k) * g(k) over the frontier before it, g(k) the 2|c_t| of the
+    terms t anticommuting with k added in term order. Both paths sum it
+    from their equal frontiers by numpy's pairwise sum (no BLAS), so they
+    still return equal lists. It can differ from the sum of the built
+    level in the last bits.
+
+    A step costs Gamma * |frontier| work units, the deepest one included.
+    The DP stops before the step that would take its total past the
+    budget, so the returned list can be shorter than depth; depth 1 is
+    free.
     """
     if n_qubits > MAX_QUBITS:
         raise ValueError(
@@ -283,18 +297,24 @@ def commutator_weight_table(
         spent += gamma * keys.size
         if spent > budget:
             break
+        if len(alphas) == depth - 1:  # the deepest level: summed, not built
+            g = np.zeros(keys.size)
+            for swap, norm in zip(swapped, norms):
+                g += (2.0 * norm) * _anticommuting(keys, swap)
+            alphas.append(float((weights * g).sum()))
+            break
         if dense:
             acc.fill(-0.0)
             for key, swap, norm in zip(term_keys, swapped, norms):
-                hit = np.flatnonzero(np.bitwise_count(keys & swap) & 1)
+                hit = np.flatnonzero(_anticommuting(keys, swap))
                 acc[keys[hit] ^ key] += 2.0 * norm * weights[hit]
             keys, weights = _reached(acc)
         else:
             parts, pending = [], 0
             for key, swap, norm in zip(term_keys, swapped, norms):
-                hit = (np.bitwise_count(keys & swap) & 1) == 1
+                hit = np.flatnonzero(_anticommuting(keys, swap))
                 parts.append((keys[hit] ^ key, 2.0 * norm * weights[hit]))
-                pending += parts[-1][0].size
+                pending += hit.size
                 if pending > _FOLD:
                     parts, pending = [_fold(parts)], 0
             keys, weights = _fold(parts)

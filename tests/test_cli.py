@@ -131,6 +131,10 @@ class TestCommutators:
         (("--m", "0"), "m must be >= 1"),
         (("--variant", "order_3"), "unknown variant 'order_3'"),
         (("--variant", "order_2"), "unknown variant 'order_2'"),
+        # int() reads these as 40, 4 and 4; only canonical names are variants
+        (("--variant", "order_4_0"), "unknown variant 'order_4_0'"),
+        (("--variant", "order_04"), "unknown variant 'order_04'"),
+        (("--variant", "order_+4"), "unknown variant 'order_+4'"),
     ])
     def test_options_checked_before_the_table(self, run, monkeypatch, extra, message):
         # a bad m, j_cap or variant is a usage error before any DP level
@@ -499,6 +503,9 @@ class TestConfigAndIo:
         ("convergence", "--model", "heisenberg", "--n", "6"),
         ("convergence", "--model", "heisenberg", "--n", "8", "--evolver", "u2p",
          "--p", "2"),
+        # the deepest alpha of a power-law model is not an integer
+        ("commutators", "--model", "power_law", "--n", "6", "--d", "1",
+         "--alpha", "2.0", "--seed", "7"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -327,7 +327,9 @@ def test_variant_parsing(xz1):
     for variant in ("first_order", "second_order", "order_4", "order_6"):
         assert mu_m(table, 1, j_cap=4, variant=variant).variant == variant
     # variants are named, not numbered; order_2 is spelled second_order
-    for variant in (2, "order_2", "order_3", "order_x", "order_1"):
+    # nor spelled any other way int() reads
+    for variant in (2, "order_2", "order_3", "order_x", "order_1",
+                    "order_4_0", "order_04", "order_+4", "order_ 4"):
         with pytest.raises(ValueError, match="unknown variant"):
             mu_m(table, 1, j_cap=4, variant=variant)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import anticommute, kron_string
 from mpf_lab import pauli
+from mpf_lab.hamiltonians import heisenberg_1d
 from mpf_lab.pauli import (
     PAULI_MATRICES,
     dense_string,
@@ -136,3 +137,67 @@ def test_dense_and_sorted_pauli_dp_are_equal(spec, depth, budget, fold):
         mp.setattr(pauli, "_FOLD", fold)
         folded = pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
     assert dense == folded
+
+
+def _table(path, strings, coefficients, depth, n, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pauli, "DENSE_KEY_BITS", 2 * pauli.MAX_QUBITS if path == "dense" else 0)
+        return pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    weighted_sums,
+    st.integers(1, 8),
+    st.sampled_from([1, 10, 100, 1000, 10**9]),
+    st.sampled_from(["dense", "fold"]),
+)
+def test_deepest_level_sum_matches_the_built_level(spec, depth, budget, path):
+    # table(depth) sums its last level; table(depth + 1) builds that level
+    # as a frontier and sums its weights, an independent way to the value
+    n, terms = spec
+    strings = [s for s, _ in terms]
+    coefficients = [c for _, c in terms]
+    summed = _table(path, strings, coefficients, depth, n, budget)
+    built = _table(path, strings, coefficients, depth + 1, n, budget)
+    k = len(summed)
+    if k < depth:  # the budget stops both tables at the same depth
+        assert built == summed
+    assert summed[:-1] == built[: k - 1]
+    # a relative bound does not hold among subnormals, hence the floor
+    tiny = np.finfo(np.float64).tiny
+    assert abs(summed[-1] - built[k - 1]) <= 1e-14 * abs(built[k - 1]) + tiny
+
+
+@pytest.mark.parametrize("path, builder", [("dense", "_reached"), ("fold", "_fold")])
+def test_deepest_level_is_not_built(monkeypatch, path, builder):
+    # depth 1 and each middle level build a frontier; the deepest does not
+    calls = []
+    original = getattr(pauli, builder)
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pauli, builder, spy)
+    h = heisenberg_1d(4)
+    strings = [t.masks() for t in h.terms]
+    coefficients = [t.coefficient for t in h.terms]
+    for depth in (2, 3, 6):
+        calls.clear()
+        alphas = _table(path, strings, coefficients, depth, 4, 10**9)
+        assert len(alphas) == depth
+        assert len(calls) == depth - 1
+
+
+@pytest.mark.parametrize("path", ["dense", "fold"])
+def test_heisenberg_nine_qubit_table_is_pinned(path):
+    # integer values, so the summed deepest level is exact too
+    h = heisenberg_1d(9)
+    alphas = _table(
+        path, [t.masks() for t in h.terms], [t.coefficient for t in h.terms], 11, 9, 10**12
+    )
+    assert alphas == [
+        27.0, 216.0, 3456.0, 51840.0, 953856.0, 17528832.0, 362299392.0,
+        7724630016.0, 178635276288.0, 4298203201536.0, 109491586596864.0,
+    ]
