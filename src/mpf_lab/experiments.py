@@ -8,12 +8,13 @@ in their joint eigenspaces (HamiltonianSum.sectors) and the norm is the
 largest block norm, exactly. The error paths never form a full-space
 product.
 
-The benchmark measures, for each chain length, the minimal segment count r
-for which the powered multi-product step meets the target accuracy over
-total time T = n, then fits the query count r * ||k||_1 against n on a
-log-log scale. Bounds are evaluated from a commutator table truncated at a
-depth cap; a tail flag says whether the truncated series was still falling
-at the cap.
+The benchmark measures, for each chain length, the segment count r at
+which the powered multi-product step crosses the target accuracy over
+total time T = n, certified by err(r) <= eps < err(r - 1) with both
+evaluated (the minimal r when the error falls with r), then fits the
+query count r * ||k||_1 against n on a log-log scale. Bounds are
+evaluated from a commutator table truncated at a depth cap; a tail flag
+says whether the truncated series was still falling at the cap.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutators import (
+    PARTITION_J_CAP,
     CommutatorTable,
     build_table,
     composition_scan,
@@ -109,7 +111,6 @@ class BenchmarkCell:
     queries: float
     queries_amplified: float
     error: float
-    monotone: bool
 
 
 @dataclass(frozen=True)
@@ -283,24 +284,6 @@ def _powered_error(
     )
 
 
-def _minimal_r(
-    h: HamiltonianSum,
-    big_t: float,
-    eps: float,
-    scheme: MpfScheme,
-    targets: tuple,
-    r_hint: int,
-) -> tuple:
-    """Smallest r with powered-step error <= eps, by the law-guided search
-    seeded at r_hint; returns (r, error, evaluations dict)."""
-    return _search_minimal_r(
-        lambda r: _powered_error(h, big_t, r, scheme, targets),
-        eps,
-        r_hint,
-        _error_order(scheme),
-    )
-
-
 def _error_order(scheme: MpfScheme) -> int:
     """p of the powered step's error law err ~ r^-p: the first power
     k^-p in the base formula's error series (formulas.error_series) that
@@ -380,18 +363,6 @@ def _predict_crossing(evals: dict, eps: float, order: int, r_cap: int) -> int:
     return math.ceil(math.exp(log_x))
 
 
-def _monotone(evals: dict) -> bool:
-    """Whether the errors fall with r over the evaluated points only (a
-    rise above 1e-6 relative, both errors above 1e-13, breaks it). The
-    points are the ones a search happened to probe, so the flag describes
-    that search path, not the error profile between or beyond them."""
-    pts = sorted(evals.items())
-    for (_, e1), (_, e2) in zip(pts, pts[1:]):
-        if e1 > 1e-13 and e2 > 1e-13 and e2 > e1 * (1.0 + 1e-6):
-            return False
-    return True
-
-
 def heisenberg_benchmark(
     n_list,
     m_list,
@@ -403,10 +374,17 @@ def heisenberg_benchmark(
 
     Each chain is built once for every m: the exact evolution of each of
     its symmetry sectors, and one exact commutator table deep enough for
-    the largest m. The search for r (_search_minimal_r) is seeded at
-    ceil(mu_hat * T) and predicts the crossing from the r^-2m error law. A non-monotone error profile over
-    the evaluated points flags the cell and the search is retried once,
-    seeded at 4r.
+    the largest m. Each cell runs one search for r (_search_minimal_r),
+    seeded at ceil(mu_hat * T) and predicting the crossing from the
+    scheme's error law, and reports the r it certified: err(r) <= eps and
+    err(r - 1) > eps, both evaluated. On an error profile that crosses
+    eps more than once that r is a certified crossing, not necessarily
+    the smallest.
+
+    Raises:
+        ValueError: Fewer than 3 chain lengths, eps outside (0, 1), or an
+            m whose hint would scan past commutators.PARTITION_J_CAP
+            (2m + 2 > PARTITION_J_CAP), checked before any chain is built.
     """
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 3:
@@ -414,6 +392,12 @@ def heisenberg_benchmark(
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
     m_values = sorted(set(int(m) for m in m_list))
+    too_deep = [m for m in m_values if 2 * m + 2 > PARTITION_J_CAP]
+    if too_deep:
+        raise ValueError(
+            f"m = {too_deep[0]} beyond {(PARTITION_J_CAP - 2) // 2}: the r"
+            f" hint scans compositions to j = 2m + 2 <= {PARTITION_J_CAP}"
+        )
     schemes = {m: solve_order_condition(power_schedule(m), m) for m in m_values}
     cells: dict = {m: [] for m in m_values}
     for n in n_values:
@@ -451,16 +435,12 @@ def _benchmark_cell(
     table."""
     m = scheme.half_order
     hint = mu_m(table, m, j_cap=2 * m + 2).mu_m
-    r_hint = max(1, math.ceil(hint * big_t)) if hint > 0 else 1
-    r, error, evals = _minimal_r(h, big_t, eps, scheme, targets, r_hint)
-    monotone = _monotone(evals)
-    if not monotone:
-        r2, error2, evals2 = _minimal_r(
-            h, big_t, eps, scheme, targets, min(r * 4, R_CAP)
-        )
-        if r2 < r:
-            r, error = r2, error2
-        monotone = _monotone(evals2)
+    r, error, _ = _search_minimal_r(
+        lambda r: _powered_error(h, big_t, r, scheme, targets),
+        eps,
+        max(1, math.ceil(hint * big_t)),
+        _error_order(scheme),
+    )
     return BenchmarkCell(
         n=h.n_qubits,
         m=m,
@@ -468,7 +448,6 @@ def _benchmark_cell(
         queries=float(query_count(r, scheme)),
         queries_amplified=float(query_count(r, scheme, True)),
         error=error,
-        monotone=monotone,
     )
 
 

@@ -253,6 +253,13 @@ class TestBenchmark:
         body = json.loads(out)
         assert body["limit_exponent"] == pytest.approx(4 / 3)
         assert body["results"][0]["m"] == 1
+        assert [set(res) for res in body["results"]] == [{
+            "m", "n_values", "query_counts", "fitted_exponent",
+            "theory_exponent", "cells",
+        }]
+        assert [set(cell) for cell in body["results"][0]["cells"]] == 3 * [
+            {"n", "m", "r", "queries", "queries_amplified", "error"}
+        ]
 
     def test_bad_eps(self, run):
         assert run("benchmark", "--n-list", "3,4,5", "--eps", "2.0")[0] == 2
@@ -438,6 +445,8 @@ class TestConfigAndIo:
         (("scheme", "--m", "2", "--output", "{tmp}/no/such/dir/x.json"), None,
          "cannot write output"),
         (("scheme", "--m", "2", "--output", "{tmp}"), None, "cannot write output"),
+        (("benchmark", "--n-list", "3,4,5", "--m-list", "12", "--eps", "0.1"), None,
+         "m = 12 beyond 11"),
     ])
     def test_exits_2_with_empty_stdout(self, capsys, tmp_path, argv, model, message):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

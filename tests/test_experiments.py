@@ -207,7 +207,6 @@ class TestBenchmark:
         for res in small_run:
             for cell in res.cells:
                 assert cell.error <= 0.05
-                assert cell.monotone
 
     def test_r_is_minimal(self, small_run):
         for res in small_run:
@@ -269,7 +268,6 @@ class TestBenchmark:
             [38, 64, 103],
             [14, 21, 32],
         ]
-        assert all(c.monotone for res in results for c in res.cells)
         assert len(calls) == 9 and max(calls.values()) <= 5
 
     def test_errors_are_measured_in_sectors_only(self, monkeypatch):
@@ -286,7 +284,7 @@ class TestBenchmark:
         # sectors of dim 32, 2 x 64 and 4 x 64; no full 7- or 8-qubit chain
         assert set(widths) == {5, 6}
 
-    def test_non_monotone_cell_is_retried(self, monkeypatch):
+    def test_one_search_per_cell(self, monkeypatch):
         eps = 0.01
 
         def bumpy(h, big_t, r, scheme, target):
@@ -294,31 +292,37 @@ class TestBenchmark:
             return 0.1 * eps if r >= 4000 else 10.0 * eps * (1.0 + r / 1000.0)
 
         searches = []
-        search = experiments._minimal_r
+        search = experiments._search_minimal_r
 
-        def recorded(h, big_t, eps_, scheme, target, r_hint):
-            out = search(h, big_t, eps_, scheme, target, r_hint)
-            searches.append((h.n_qubits, r_hint, out))
+        def recorded(err, eps_, r_hint, order):
+            out = search(err, eps_, r_hint, order)
+            searches.append(out[0])
             return out
 
         monkeypatch.setattr(experiments, "_powered_error", bumpy)
-        monkeypatch.setattr(experiments, "_minimal_r", recorded)
+        monkeypatch.setattr(experiments, "_search_minimal_r", recorded)
         cells = heisenberg_benchmark((3, 4, 5), (1,), eps=eps)[0].cells
-        retried = 0
+        # the probed errors rise before the drop; the cell still runs one
+        # search and reports the crossing it certified
+        assert searches == [4000, 4000, 4000]
         for cell in cells:
-            runs = [s for s in searches if s[0] == cell.n]
-            first_r, _, first_evals = runs[0][2]
-            if experiments._monotone(first_evals):
-                assert len(runs) == 1 and cell.monotone
-                continue
-            retried += 1
-            assert len(runs) == 2
-            _, hint, (r2, _, evals2) = runs[1]
-            assert hint == min(4 * first_r, experiments.R_CAP)
-            assert cell.r == min(first_r, r2)
-            assert cell.monotone == experiments._monotone(evals2)
             assert cell.r == 4000 and cell.error == 0.1 * eps
-        assert retried > 0
+
+    def test_half_order_beyond_the_hint_scan_builds_no_chain(self, monkeypatch):
+        built = []
+
+        def counted(n, periodic=True):
+            built.append(n)
+            raise RuntimeError("chain built")
+
+        monkeypatch.setattr(experiments, "heisenberg_1d", counted)
+        with pytest.raises(ValueError, match=r"m = 12 beyond 11"):
+            heisenberg_benchmark((3, 4, 5), (1, 12), eps=0.1)
+        assert built == []
+        # 2m + 2 = 24 is still in range: the run gets as far as the chain
+        with pytest.raises(RuntimeError, match="chain built"):
+            heisenberg_benchmark((3, 4, 5), (11,), eps=0.1)
+        assert built == [3]
 
     def test_scaling_result_validation(self):
         with pytest.raises(ValueError):
@@ -440,9 +444,11 @@ class TestSearch:
             return predict(evals, eps, order, r_cap)
 
         monkeypatch.setattr(experiments, "_predict_crossing", recorded)
-        # r = 1 misses eps for every scheme, so the search predicts
+        # one probe certifies nothing unless it is r = 1, so the search predicts
         targets = experiments._sector_targets(heis3, 3.0)
-        experiments._minimal_r(heis3, 3.0, 1e-3, scheme, targets, 1)
+        experiments._benchmark_cell(
+            heis3, 3.0, 1e-3, scheme, targets, build_table(heis3, 9)
+        )
         assert predictions[0] == (1, p)
 
 
