@@ -8,6 +8,10 @@ flag would not accept and options, given by flag or config key, that the
 run would not read are usage errors. Exit codes: 0 success, 2 usage,
 3 resource or budget, 4 numeric premise violation.
 
+Each handler takes the resolved options as one dict and hands the values
+it reads to the library; convergence_study picks its own grid when no
+--dt-grid is given.
+
 All outputs are deterministic byte-for-byte for a fixed configuration:
 reductions are ordered sums and serialization sorts its keys, so repeated
 runs diff clean.
@@ -19,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import bch, commutators, experiments, formulas, mpf, operators
 from .hamiltonians import (
@@ -30,20 +34,11 @@ from .hamiltonians import (
     power_law_lattice,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters for one subcommand run."""
-
-    command: str
-    params: dict
-    output_path: str | None
 
 
 def _finite(text) -> float:
@@ -97,7 +92,9 @@ def _config_value(key: str, value, kind, choices):
     return value
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> tuple:
+    """(command, params, output path): the run's options, each from its
+    flag, its config key or its default, checked as its flag would be."""
     command = args.command
     options = _COMMANDS[command][2]
     file_values = {}
@@ -126,7 +123,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"not read by this run: {', '.join(unread)}")
     output = params.pop("output")
     params.pop("config")
-    return RunConfig(command, params, output)
+    return command, params, output
 
 
 # the model options each built-in model reads; a model file reads none
@@ -155,8 +152,7 @@ def _unread(command: str, p: dict) -> set:
     return unread
 
 
-def _build_model(config: RunConfig) -> HamiltonianSum:
-    p = config.params
+def _build_model(p: dict) -> HamiltonianSum:
     if p.get("model_file"):
         try:
             with open(p["model_file"], "r", encoding="utf-8") as fh:
@@ -178,8 +174,7 @@ def _dump(body) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_scheme(config: RunConfig) -> str:
-    p = config.params
+def cmd_scheme(p: dict) -> str:
     if p["m"] is None:
         raise UsageError("scheme needs --m")
     powers = mpf.power_schedule(p["m"], p["strategy"], p["base"])
@@ -195,11 +190,10 @@ def cmd_scheme(config: RunConfig) -> str:
     })
 
 
-def cmd_commutators(config: RunConfig) -> str:
-    p = config.params
+def cmd_commutators(p: dict) -> str:
     # mu_m's checks, run before the table's DP
     _, j_cap = commutators.check_scan(p["m"], p["j_cap"], p["variant"])
-    h = _build_model(config)
+    h = _build_model(p)
     table = commutators.build_table(h, j_cap + 1, budget=p["budget"])
     if table.mode == "capped" and not p["allow_capped"]:
         raise commutators.BudgetExceededError(
@@ -226,9 +220,8 @@ def _parse_grid(text: str) -> tuple:
     return grid
 
 
-def cmd_convergence(config: RunConfig) -> str:
-    p = config.params
-    h = _build_model(config)
+def cmd_convergence(p: dict) -> str:
+    h = _build_model(p)
     evolver = p["evolver"]
     if evolver == "mpf":
         scheme = mpf.solve_order_condition(mpf.power_schedule(p["m"]), p["m"])
@@ -241,13 +234,10 @@ def cmd_convergence(config: RunConfig) -> str:
         order = 2 * p["p"] if evolver == "u2p" else {"u1": 1, "u2": 2}[evolver]
         scheme = mpf.solve_order_condition([1], 1, order)
     grid = _parse_grid(p["dt_grid"]) if p["dt_grid"] else None
-    top_error = None
     try:
-        if grid is None:
-            grid, top_error = experiments.default_dt_grid(
-                h, scheme, points=p["points"], ratio=p["ratio"], start=p["start"]
-            )
-        study = experiments.convergence_study(h, scheme, grid, top_error)
+        study = experiments.convergence_study(
+            h, scheme, grid, points=p["points"], ratio=p["ratio"], start=p["start"]
+        )
     except experiments.DegenerateGridError as exc:
         raise UsageError(str(exc)) from exc
     lines = ["dt,error,fitted_slope,r_squared,exact"]
@@ -266,33 +256,30 @@ def _parse_int_list(text: str, what: str) -> list:
         raise UsageError(f"bad {what} {text!r}") from exc
 
 
-def cmd_benchmark(config: RunConfig) -> str:
-    p = config.params
+def cmd_benchmark(p: dict) -> str:
     m_list = _parse_int_list(p["m_list"], "m list")
     if not m_list or any(m < 1 for m in m_list):
         raise UsageError("m list must be positive integers")
     if p["theory_only"]:
         theory = [
-            {"m": m, "theory_exponent": 4.0 / 3.0 + 2.0 / (3.0 * m)}
+            {"m": m, "theory_exponent": experiments.theory_exponent(m)}
             for m in sorted(set(m_list))
         ]
-        return _dump({"limit_exponent": 4.0 / 3.0, "theory": theory})
+        return _dump({"limit_exponent": experiments.LIMIT_EXPONENT, "theory": theory})
     n_list = _parse_int_list(p["n_list"], "n list")
     results = experiments.heisenberg_benchmark(
         n_list, m_list, p["eps"], periodic=p["periodic"]
     )
     if p["format"] == "json":
-        payload = {
-            "limit_exponent": 4.0 / 3.0,
+        return _dump({
+            "limit_exponent": experiments.LIMIT_EXPONENT,
             "results": [asdict(r) for r in results],
-        }
-        return _dump(payload)
+        })
     return experiments.report_emit(results)
 
 
-def cmd_bch_verify(config: RunConfig) -> str:
-    p = config.params
-    h = _build_model(config)
+def cmd_bch_verify(p: dict) -> str:
+    h = _build_model(p)
     k_max, s = p["k_max"], p["s"]
     if k_max < 1 or k_max > bch.WORD_DEPTH_CAP:
         raise UsageError(f"k_max must be in [1, {bch.WORD_DEPTH_CAP}]")
@@ -388,8 +375,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
-        output = _COMMANDS[config.command][0](config)
+        command, params, output_path = _resolve_config(args)
+        output = _COMMANDS[command][0](params)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -407,11 +394,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not config.output_path:
+    if not output_path:
         sys.stdout.write(output)
         return 0
     try:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(output)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

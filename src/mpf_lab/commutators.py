@@ -359,11 +359,13 @@ def mu_m(
     Scans composition_scan's slices j <= j_cap (default 2m+8) and l up
     to m; the supremum runs over an infinite index set, so tail_clear
     reports whether the last two slices left the running sup alone.  When
-    several cells attain the sup to within 1e-12 relative (exact for
-    geometric alpha tables, where every (2l, l) cell ties), the reported
-    argmax is the tied cell with the most commutator factors. mu_upper is
-    2 * sup of best[l][j]^(1/(j+l)) over the same cells; it dominates mu_m
-    because composition counts stay below 2^(j-1).
+    several cells attain the sup to within 1e-12 relative, the reported
+    argmax is the tied cell with the most commutator factors. On geometric
+    alpha tables the ties are exact among the (4l, l) cells under order_4
+    (second_order starts its scan at j = 2m, so of its (2l, l) cells only
+    (2m, m) is scanned). mu_upper is 2 * sup of best[l][j]^(1/(j+l)) over
+    the same cells; it dominates mu_m because composition counts stay
+    below 2^(j-1).
     """
     scan = composition_scan(table, m, j_cap, variant)
     best = -1.0
@@ -380,8 +382,7 @@ def mu_m(
                 arg = (j, l)
                 moved = True
             elif value > 0.0 and value >= best * (1.0 - 1e-12) and l > arg[1]:
-                # numerical tie: report the attaining cell with the most
-                # parts (ties at (2l, l) are exact for geometric tables)
+                # numerical tie: report the attaining cell with the most parts
                 arg = (j, l)
         improved.append(moved)
     tail_clear = not any(improved[-2:])

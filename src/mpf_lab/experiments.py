@@ -8,13 +8,18 @@ in their joint eigenspaces (HamiltonianSum.sectors) and the norm is the
 largest block norm, exactly. The error paths never form a full-space
 product.
 
+A convergence study fits the one-step error against the step size on a
+log-log scale; given no grid it picks its own, one measurement per step.
+
 The benchmark measures, for each chain length, the segment count r at
 which the powered multi-product step crosses the target accuracy over
 total time T = n, certified by err(r) <= eps < err(r - 1) with both
 evaluated (the minimal r when the error falls with r), then fits the
-query count r * ||k||_1 against n on a log-log scale. Bounds are
-evaluated from a commutator table truncated at a depth cap; a tail flag
-says whether the truncated series was still falling at the cap.
+query count r * ||k||_1 against n on a log-log scale, next to the
+exponent theory_exponent(m) predicts for the well-conditioned MPF of Low,
+Kliuchnikov & Wiebe (arXiv:1907.11679). Bounds are evaluated from a
+commutator table truncated at a depth cap; a tail flag says whether the
+truncated series was still falling at the cap.
 """
 
 from __future__ import annotations
@@ -49,18 +54,21 @@ __all__ = [
     "DegenerateGridError",
     "ErrorBudget",
     "InfeasibleError",
+    "LIMIT_EXPONENT",
     "PremiseViolatedError",
     "ScalingResult",
     "convergence_study",
-    "default_dt_grid",
     "error_bound_evaluate",
     "exact_evolution",
     "heisenberg_benchmark",
     "report_emit",
+    "theory_exponent",
 ]
 
 NOISE_FLOOR = 1e-11  # 10x the 1e-12 working-precision floor
 R_CAP = 10**6
+# the benchmark's predicted query-count exponent in n as m grows
+LIMIT_EXPONENT = 4.0 / 3.0
 
 
 class DegenerateGridError(ValueError):
@@ -154,46 +162,39 @@ def _loglog_fit(xs, ys):
     return float(slope), r_squared
 
 
-def default_dt_grid(
+def convergence_study(
     h: HamiltonianSum,
     scheme: MpfScheme,
+    dt_grid=None,
     points: int = 6,
     ratio: float = 2.0,
     start: float = 0.8,
-) -> tuple:
-    """(grid, top_error): a geometric grid whose top step is halved until
-    the scheme's one-step error drops below 0.1, and that error, which
-    convergence_study takes as top_error (None when 60 halvings never
-    brought it below 0.1, so the top step was not measured)."""
-    if points < 4 or ratio <= 1.0 or start <= 0.0:
-        raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
-    top = start
-    for _ in range(60):
-        top_error = _powered_error(h, top, 1, scheme, _sector_targets(h, top))
-        if top_error < 0.1:
-            break
-        top /= 2.0
-    else:
-        top_error = None
-    return tuple(top * ratio**-i for i in range(points)), top_error
-
-
-def convergence_study(
-    h: HamiltonianSum, scheme: MpfScheme, dt_grid=None, top_error=None
 ) -> ConvergenceStudy:
     """One-step error order fit for a linear-combination scheme; the
     one-term scheme solve_order_condition([1], 1, q) is the order-q product
     formula.
 
-    With no dt_grid the grid is default_dt_grid's. top_error, when given,
-    is the one-step error at dt_grid[0] already measured (default_dt_grid
-    returns it), and is not measured again.
+    With no dt_grid the grid is geometric: points steps, each ratio times
+    the next, under a top step halved from start until the one-step error
+    drops below 0.1. That error is errors[0] and is not measured again;
+    when 60 probes never get there the top step is start / 2**60 and is
+    measured with the rest. points, ratio and start are read only then.
 
     Points at the noise floor are dropped from the fit; a study whose
     points all sit there is returned with the exact flag instead.
     """
+    errors = []
     if dt_grid is None:
-        dt_grid, top_error = default_dt_grid(h, scheme)
+        if points < 4 or ratio <= 1.0 or start <= 0.0:
+            raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
+        top = start
+        for _ in range(60):
+            error = _powered_error(h, top, 1, scheme, _sector_targets(h, top))
+            if error < 0.1:
+                errors.append(error)
+                break
+            top /= 2.0
+        dt_grid = [top * ratio**-i for i in range(points)]
     grid = tuple(float(dt) for dt in dt_grid)
     if len(grid) < 4:
         raise DegenerateGridError("need at least 4 grid points")
@@ -201,10 +202,9 @@ def convergence_study(
         a <= b for a, b in zip(grid, grid[1:])
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
-    measured = [] if top_error is None else [top_error]
-    errors = measured + [
+    errors += [
         _powered_error(h, dt, 1, scheme, _sector_targets(h, dt))
-        for dt in grid[len(measured):]
+        for dt in grid[len(errors):]
     ]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
     if not usable:
@@ -363,6 +363,13 @@ def _predict_crossing(evals: dict, eps: float, order: int, r_cap: int) -> int:
     return math.ceil(math.exp(log_x))
 
 
+def theory_exponent(m: int) -> float:
+    """4/3 + 2/(3m): the predicted exponent of the query count against
+    chain length for the m-term MPF on the second-order base, the scaling
+    the benchmark fits; it falls to LIMIT_EXPONENT as m grows."""
+    return LIMIT_EXPONENT + 2.0 / (3.0 * m)
+
+
 def heisenberg_benchmark(
     n_list,
     m_list,
@@ -416,7 +423,7 @@ def heisenberg_benchmark(
                 n_values=tuple(n_values),
                 query_counts=tuple(c.queries for c in cells[m]),
                 fitted_exponent=exponent,
-                theory_exponent=4.0 / 3.0 + 2.0 / (3.0 * m),
+                theory_exponent=theory_exponent(m),
                 cells=tuple(cells[m]),
             )
         )

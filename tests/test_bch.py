@@ -14,6 +14,7 @@ from mpf_lab.bch import (
     dyson_expansion,
     effective_generator,
     symmetric_bch_term,
+    symmetric_bch_terms,
 )
 from mpf_lab.formulas import build_spec, evaluate_spec
 from mpf_lab.hamiltonians import heisenberg_1d
@@ -261,6 +262,8 @@ def test_symmetric_term_homogeneity(k, xz1):
 def test_symmetric_term_depth_cap(xz1):
     with pytest.raises(DepthCapError):
         symmetric_bch_term(xz1, 9, 0.1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        symmetric_bch_terms(xz1, [0], 0.1)
 
 
 def test_effective_generator_k1_is_scaled_hamiltonian(xz1):

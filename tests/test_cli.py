@@ -447,6 +447,14 @@ class TestConfigAndIo:
         (("scheme", "--m", "2", "--output", "{tmp}"), None, "cannot write output"),
         (("benchmark", "--n-list", "3,4,5", "--m-list", "12", "--eps", "0.1"), None,
          "m = 12 beyond 11"),
+        (("benchmark", "--n-list", "4,x,8"), None, "bad n list"),
+        (("benchmark", "--n-list", "3,4,5", "--m-list", "0,1"), None,
+         "m list must be positive integers"),
+        (("commutators", "--model", "commuting", "--n", "0"), None,
+         "commuting model needs n >= 1"),
+        (("convergence", "--model", "heisenberg", "--n", "3", "--dt-grid",
+          "0.2,1e-6,1e-7,1e-8"), None, "only one grid point above the noise floor"),
+        (("benchmark", "--n-list", "3,4,5", "--eps", "abc"), None, "invalid float value"),
     ])
     def test_exits_2_with_empty_stdout(self, capsys, tmp_path, argv, model, message):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -150,6 +150,8 @@ def test_table_validation():
         CommutatorTable(gamma=1, mode="exact", j_cap=2, alpha={1: 1.0, 2: -2.0})
     with pytest.raises(ValueError):
         CommutatorTable(gamma=1, mode="banana", j_cap=1, alpha={1: 1.0})
+    with pytest.raises(ValueError, match="gamma and j_cap must be positive"):
+        CommutatorTable(gamma=0, mode="exact", j_cap=1, alpha={1: 1.0})
 
 
 def _table(values, gamma=2):
@@ -300,8 +302,18 @@ def test_synthetic_local_argmax_at_2m_m(beta, level, m):
     table = _synthetic_local(beta, level, 2 * m + 9)
     report = mu_m(table, m)
     assert report.argmax[:2] == (2 * m, m)
-    # every (2l, l) cell ties at the same value
+    # the (2m, m) value, which every (2l, l) cell shares
     assert report.mu_m == pytest.approx((beta**2 * level) ** (1 / 3), rel=1e-9)
+
+
+def test_mu_tie_reports_the_cell_with_more_parts():
+    # under order_4 a geometric table ties the (4l, l) cells bit for bit;
+    # the tie goes to the cell with more commutator factors
+    table = _synthetic_local(0.5, 3.0, 13)
+    assert lambda_jl(table, 4, 1, "order_4") == lambda_jl(table, 8, 2, "order_4")
+    report = mu_m(table, 2, variant="order_4")
+    assert report.mu_m == 0.7154845405526278
+    assert report.argmax == (8, 2, (4, 4))
 
 
 def test_geometric_table_base_parameter():

@@ -10,16 +10,17 @@ import mpf_lab.experiments as experiments
 from mpf_lab import pauli
 from mpf_lab.commutators import build_table, convergence_radius
 from mpf_lab.experiments import (
+    LIMIT_EXPONENT,
     DegenerateGridError,
     InfeasibleError,
     PremiseViolatedError,
     ScalingResult,
     convergence_study,
-    default_dt_grid,
     error_bound_evaluate,
     exact_evolution,
     heisenberg_benchmark,
     report_emit,
+    theory_exponent,
 )
 from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 from mpf_lab.mpf import mpf_operator, power_schedule, query_count, solve_order_condition
@@ -106,31 +107,43 @@ class TestConvergenceStudy:
             convergence_study(heis3, U2, dt_grid=(0.2, 0.1, 0.05, -0.025))
 
     def test_default_grid(self, heis3):
-        grid, top_error = default_dt_grid(heis3, U2)
+        study = convergence_study(heis3, U2)
+        grid = study.dt_grid
         assert len(grid) == 6
         ratios = [a / b for a, b in zip(grid, grid[1:])]
         assert ratios == pytest.approx([2.0] * 5)
-        study = convergence_study(heis3, U2, dt_grid=grid)
-        assert study.errors[0] == top_error < 0.1
-        assert convergence_study(heis3, U2) == study
-        assert convergence_study(heis3, U2, grid, top_error) == study
+        assert study.errors[0] < 0.1
+        # the top step's error, measured while the grid was picked, is the
+        # one a study on the same grid measures
+        assert convergence_study(heis3, U2, dt_grid=grid) == study
+
+    def test_default_grid_options(self, heis3):
+        study = convergence_study(heis3, U2, points=5, ratio=3.0, start=0.5)
+        grid = study.dt_grid
+        assert len(grid) == 5 and grid[0] in [0.5 / 2**k for k in range(60)]
+        assert [a / b for a, b in zip(grid, grid[1:])] == pytest.approx([3.0] * 4)
+        assert study.errors[0] < 0.1
+        assert convergence_study(heis3, U2, dt_grid=grid) == study
 
     def test_default_grid_without_a_measured_top_step(self):
         # the error never drops below 0.1, so the top step, halved after
         # its last probe, was not measured: the study measures every point
         terms = (PauliTerm(1, 1e30, {0: "X"}), PauliTerm(1, 1e30, {0: "Z"}))
         h = HamiltonianSum(1, terms)
-        grid, top_error = default_dt_grid(h, U2)
-        assert top_error is None and grid[0] == 0.8 / 2**60
-        assert convergence_study(h, U2).errors == convergence_study(h, U2, grid).errors
+        study = convergence_study(h, U2)
+        assert study.dt_grid[0] == 0.8 / 2**60
+        assert study.errors == convergence_study(h, U2, study.dt_grid).errors
 
     def test_default_grid_validation(self, heis3):
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, U2, points=3)
+            convergence_study(heis3, U2, points=3)
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, U2, ratio=1.0)
+            convergence_study(heis3, U2, ratio=1.0)
         with pytest.raises(DegenerateGridError):
-            default_dt_grid(heis3, U2, start=0.0)
+            convergence_study(heis3, U2, start=0.0)
+        # a given grid is used as it is; the default grid's options are unread
+        study = convergence_study(heis3, U2, GRID, points=3, ratio=1.0, start=0.0)
+        assert study == convergence_study(heis3, U2, GRID)
 
 
 class TestErrorBound:
@@ -231,6 +244,12 @@ class TestBenchmark:
                 assert cell.queries == query_count(cell.r, scheme)
                 assert cell.queries == cell.r * scheme.k_norm
                 assert cell.queries_amplified == cell.queries * math.ceil(scheme.a_norm)
+
+    def test_theory_exponent_is_the_stated_formula(self):
+        # bit for bit with the formula bench/checks.py restates at 1e-12
+        assert LIMIT_EXPONENT == 4.0 / 3.0
+        for m in range(1, 12):
+            assert theory_exponent(m) == 4.0 / 3.0 + 2.0 / (3.0 * m)
 
     def test_theory_exponents_and_fit(self, small_run):
         assert [res.theory_exponent for res in small_run] == pytest.approx([2.0, 5.0 / 3.0])

@@ -168,6 +168,14 @@ def test_model_json_round_trips(xz1):
         assert np.allclose(back.dense(), h.dense(), atol=1e-14)
 
 
+def test_model_file_integer_coefficient_is_widened():
+    # a JSON integer is a number: it loads as a float and is written back as one
+    body = {"n": 1, "terms": [{"n_qubits": 1, "coefficient": 1, "paulis": {"0": "Z"}}]}
+    h = from_model_json(json.dumps(body))
+    assert type(h.terms[0].coefficient) is float and h.terms[0].coefficient == 1.0
+    assert '"coefficient": 1.0' in to_model_json(h)
+
+
 @pytest.mark.parametrize("body, field", [
     *BAD_MODEL_FILES,
     (z_model({"n_qubits": 2.0}), "n_qubits"),

@@ -96,7 +96,7 @@ def test_closed_form_matches_direct_solve(m):
     assert np.max(np.abs(np.array(scheme.coefficients) - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
-def test_solver_input_validation():
+def test_solver_input_validation(heis3):
     with pytest.raises(DuplicatePowersError):
         solve_order_condition((1, 1), 2)
     with pytest.raises(SizeMismatchError):
@@ -105,6 +105,8 @@ def test_solver_input_validation():
         solve_order_condition((0, 1), 2)
     with pytest.raises(NonPositiveError):
         solve_order_condition((1, 2), 0)
+    with pytest.raises(NonPositiveError):
+        mpf_evolve(heis3, 1.0, 0, solve_order_condition((1, 2), 2))
 
 
 def test_power_schedule_natural():

@@ -124,3 +124,5 @@ def test_array_inputs_must_be_square():
             matrix_exponential(bad)
         with pytest.raises(NonSquareError):
             spectral_norm(bad)
+    # an empty square array has norm zero
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
