@@ -2,11 +2,11 @@
 scaling benchmark.
 
 Every error is a spectral norm ||V - exp(-iHt)|| of a formula or
-multi-product operator V, measured sector by sector: each term of H
-commutes with H's Pauli symmetries, so V and exp(-iHt) are block diagonal
-in their joint eigenspaces (HamiltonianSum.sectors) and the norm is the
-largest block norm, exactly. The error paths never form a full-space
-product.
+multi-product operator V, measured block by block: every fused run of
+stages and exp(-iHt) keep the model's invariant blocks
+(HamiltonianSum.blocks), so the norm is the largest block norm, exactly.
+The error paths form a full-space product only for a model whose one
+block is the whole space.
 
 A convergence study fits the one-step error against the step size on a
 log-log scale; given no grid it picks its own, one measurement per step.
@@ -145,10 +145,10 @@ def exact_evolution(h: HamiltonianSum, t: float) -> np.ndarray:
     return hermitian_evolution(*h.eigh, t)
 
 
-def _sector_targets(h: HamiltonianSum, t: float) -> tuple:
-    """exp(-iHt) of each of h.sectors, in sector order: the targets of
+def _block_targets(h: HamiltonianSum, t: float) -> tuple:
+    """exp(-iHt) on each of h.blocks, in block order: the targets of
     _powered_error."""
-    return tuple(exact_evolution(s, t) for s in h.sectors)
+    return tuple(exact_evolution(b, t) for b in h.blocks)
 
 
 def _loglog_fit(xs, ys):
@@ -189,7 +189,7 @@ def convergence_study(
             raise DegenerateGridError("need points >= 4, ratio > 1, start > 0")
         top = start
         for _ in range(60):
-            error = _powered_error(h, top, 1, scheme, _sector_targets(h, top))
+            error = _powered_error(h, top, 1, scheme, _block_targets(h, top))
             if error < 0.1:
                 errors.append(error)
                 break
@@ -203,7 +203,7 @@ def convergence_study(
     ):
         raise DegenerateGridError("grid must be positive, strictly decreasing")
     errors += [
-        _powered_error(h, dt, 1, scheme, _sector_targets(h, dt))
+        _powered_error(h, dt, 1, scheme, _block_targets(h, dt))
         for dt in grid[len(errors):]
     ]
     usable = [(dt, e) for dt, e in zip(grid, errors) if e > NOISE_FLOOR]
@@ -268,19 +268,19 @@ def error_bound_evaluate(
         truncation_depth=scan.j_cap,
         tail_clear=tail_clear,
     )
-    return budget, _powered_error(h, delta, 1, scheme, _sector_targets(h, delta))
+    return budget, _powered_error(h, delta, 1, scheme, _block_targets(h, delta))
 
 
 def _powered_error(
     h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, targets: tuple
 ) -> float:
-    """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.sectors,
-    targets holding each sector's exp(-iHT) in sector order
-    (_sector_targets). Every error the module reports is this one; r = 1
+    """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.blocks,
+    targets holding each block's exp(-iHT) in block order
+    (_block_targets). Every error the module reports is this one; r = 1
     is the one-step error of studies and bounds."""
     return max(
-        float(spectral_norm(mpf_evolve(s, big_t, r, scheme) - target))
-        for s, target in zip(h.sectors, targets)
+        float(spectral_norm(mpf_evolve(b, big_t, r, scheme) - target))
+        for b, target in zip(h.blocks, targets)
     )
 
 
@@ -379,8 +379,8 @@ def heisenberg_benchmark(
     """Minimal-segment query counts for spin chains over total time
     T = n, fitted against chain length per m.
 
-    Each chain is built once for every m: the exact evolution of each of
-    its symmetry sectors, and one exact commutator table deep enough for
+    Each chain is built once for every m: the exact evolution on each of
+    its invariant blocks, and one exact commutator table deep enough for
     the largest m. Each cell runs one search for r (_search_minimal_r),
     seeded at ceil(mu_hat * T) and predicting the crossing from the
     scheme's error law, and reports the r it certified: err(r) <= eps and
@@ -410,7 +410,7 @@ def heisenberg_benchmark(
     for n in n_values:
         h = heisenberg_1d(n, periodic=periodic)
         big_t = float(n)
-        targets = _sector_targets(h, big_t)
+        targets = _block_targets(h, big_t)
         table = build_table(h, 2 * max(m_values) + 3, budget=10**8)
         for m in m_values:
             cells[m].append(_benchmark_cell(h, big_t, eps, schemes[m], targets, table))
@@ -438,7 +438,7 @@ def _benchmark_cell(
     targets: tuple,
     table: CommutatorTable,
 ) -> BenchmarkCell:
-    """One (n, m) cell on the chain's shared sector targets and commutator
+    """One (n, m) cell on the chain's shared block targets and commutator
     table."""
     m = scheme.half_order
     hint = mu_m(table, m, j_cap=2 * m + 2).mu_m

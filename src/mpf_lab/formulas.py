@@ -5,17 +5,10 @@ unrolled at construction; evaluation walks the list left to right, matching
 the operator-product notation. Flat lists make the stage-count invariant
 checkable and keep evaluation order deterministic.
 
-Evaluation builds the transpose of the product, one row per basis state.
-Right multiplication by a Pauli string P then maps rows: row b takes
-phases[b] times row b ^ x. Viewed with one axis per qubit, row b ^ x is
-the array with the axes of the bits x sets reversed, so every stage is
-three in-place passes over a free strided view, with one buffer per
-evaluation and no gather (HamiltonianSum.stage_actions).
-
-Every stage list of order 2 and up is an even-length palindrome (Suzuki's
-recursion is symmetric). When every term is real symmetric, so is every
-stage, and the product of B + reversed(B) is G G^T for G the product over
-B: evaluation sweeps the first half and ends with one matmul.
+Evaluation (evaluate_spec) sweeps a whole space with a free strided
+view per stage, and an invariant block (HamiltonianSum.blocks) with one
+gather per run of commuting stages; a palindrome of real symmetric stages
+is swept over its first half only.
 
 A product formula of order q is the one-term linear-combination scheme
 mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
@@ -23,12 +16,13 @@ mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import HamiltonianSum
+from .hamiltonians import Block
 
 __all__ = [
     "ProductFormulaSpec",
@@ -93,14 +87,15 @@ def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
     return ProductFormulaSpec(order, stages)
 
 
-def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.ndarray:
-    """Dense product over the stage list, left to right.
-
-    A stage exp(-i theta P), theta = fraction * t * coefficient, is built
-    into the transposed product y, viewed with shape (2,)*n + (dim,), as
-    y <- cos(theta) y - i sin(theta) phases * y[flip], y[flip] being the
-    view with the bit axes of P's x mask reversed
-    (HamiltonianSum.stage_actions).
+def evaluate_spec(h, t: float, spec: ProductFormulaSpec) -> np.ndarray:
+    """Dense product over the stage list, left to right, on the whole
+    space of a HamiltonianSum or on one of its Blocks, built into the
+    transposed product y. On the whole space a stage exp(-i theta P),
+    theta = fraction * t * coefficient, is y <- cos(theta) y -
+    i sin(theta) phases * y[flip], y viewed with shape (2,)*n + (dim,)
+    and y[flip] the view with the bit axes of P's x mask reversed
+    (HamiltonianSum.stage_actions). On a block each run of stages on one
+    run of terms is one gate y <- alpha * y + beta * y[idx] (_gates).
 
     When every term is real symmetric (HamiltonianSum.real_symmetric), so
     is every stage, and an even-length palindrome B + reversed(B) has the
@@ -110,15 +105,56 @@ def evaluate_spec(h: HamiltonianSum, t: float, spec: ProductFormulaSpec) -> np.n
     stages = spec.stages
     half = len(stages) // 2
     mirrored = h.real_symmetric and stages[half:] == stages[:half][::-1]
+    sweep = stages[:half] if mirrored else stages
     y = np.eye(h.dim, dtype=np.complex128)
-    rows = y.reshape((2,) * h.n_qubits + (h.dim,))
-    buf = np.empty_like(rows)
-    for g, c in stages[:half] if mirrored else stages:
-        theta = c * t * h.terms[g].coefficient
-        if theta == 0.0:
-            continue
-        flip, phases = h.stage_actions[g]
-        np.multiply(rows[flip], (-1j * math.sin(theta)) * phases, out=buf)
-        rows *= math.cos(theta)
-        rows += buf
+    if isinstance(h, Block):
+        if sweep not in h.gates:
+            h.gates[sweep] = _gates(h, sweep)
+        d, omega, v, idx = h.gates[sweep]
+        phase, angle = np.exp((-1j * t) * d), t * omega
+        alpha, beta = phase * np.cos(angle), (-1j * phase) * np.sin(angle) * v
+        buf = np.empty_like(y)
+        for a, b, i in zip(alpha[..., None], beta[..., None], idx):
+            y.take(i, axis=0, out=buf, mode="clip")
+            buf *= b
+            y *= a
+            y += buf
+    else:
+        rows = y.reshape((2,) * h.n_qubits + (h.dim,))
+        buf = np.empty_like(rows)
+        for g, c in sweep:
+            theta = c * t * h.terms[g].coefficient
+            if theta == 0.0:
+                continue
+            flip, phases = h.stage_actions[g]
+            np.multiply(rows[flip], (-1j * math.sin(theta)) * phases, out=buf)
+            rows *= math.cos(theta)
+            rows += buf
     return y.T @ y if mirrored else np.ascontiguousarray(y.T)
+
+
+def _gates(block: Block, stages: tuple) -> tuple:
+    """(w d, w |o|, o / |o|, idx) stacked over the gates, one per maximal
+    run of stages on one run k of terms: exp(-i t w H_k), exact as the
+    stages commute, w each term's summed fraction (ValueError if they
+    differ). H_k pairs vector j with idx[j] as [[d_j, conj(o_j)],
+    [o_j, d_j]] (Block.generators; the diagonal terms commute with the moving
+    ones, so both diagonal entries are d_j), whose exponential has
+    alpha = e^(-i t w d) cos(t w |o|) and beta = -i e^(-i t w d)
+    sin(t w |o|) o / |o| (0 where |o| is 0 or subnormal).
+    """
+    runs = block.model.runs
+    run_of = {t: k for k, run in enumerate(runs) for t in run}
+    ks, ws = [], []
+    for k, group in itertools.groupby(stages, key=lambda stage: run_of[stage[0]]):
+        weights: dict = {}
+        for g, c in group:
+            weights[g] = weights.get(g, 0.0) + c
+        if len(w := {weights.get(t, 0.0) for t in runs[k]}) > 1:
+            raise ValueError(f"stages weight the terms of run {k} unequally")
+        ks.append(k)
+        ws.append(w.pop())
+    d, o, idx = (a[ks] for a in block.generators)
+    omega = np.abs(o)
+    v = np.divide(o, omega, out=np.zeros_like(o), where=omega > np.finfo(float).tiny)
+    return (w := np.array(ws)[:, None]) * d, w * omega, v, idx

@@ -17,6 +17,7 @@ import numpy as np
 from . import pauli
 
 __all__ = [
+    "Block",
     "HamiltonianSum",
     "NotLatticeError",
     "PauliTerm",
@@ -29,13 +30,14 @@ __all__ = [
 ]
 
 
-# A split into sectors below this dimension costs more in per-call overhead
-# than it saves in dense work. Measured on 2 vCPUs (numpy 2.4, OpenBLAS):
-# `convergence --model commuting --n 8` evaluates its errors in 0.19 s
-# unsplit, 0.028 s in sectors of dim 32, 0.035 s at 16 and 0.36 s at 1; the
-# Heisenberg n = 6 benchmark cells take 0.031 s at dim 32 and 0.043 s at 16,
-# the n = 4 cells 0.0067 s unsplit and 0.018 s at dim 4.
+# Smaller blocks cost more in call overhead than they save, so they share bins
+# (HamiltonianSum.blocks). Best of 7 on 2 vCPUs at 32 / 8 / 1: `chain-scaling`
+# 0.048 / 0.050 / 0.057 s; `convergence --model commuting --n 8` 0.010 / 0.017 /
+# 0.090 s.
 MIN_SECTOR_DIM = 32
+# A complex SVD keeps its bits under 1 and 2 OpenBLAS threads up to dim 65 only
+# (numpy 2.4), so no bin is larger than this.
+BIN_DIM = 64
 
 
 class TooSmallError(ValueError):
@@ -86,9 +88,9 @@ class HamiltonianSum:
 
     The sum also owns every piece of per-model data the kernels reuse:
     the terms' stage actions, whether every term is real symmetric, the
-    eigendecomposition of the dense sum, the symmetry sectors and the
-    Pauli DP runs. Each is built on first use and lives as long as the
-    model does.
+    eigendecomposition of the dense sum, the runs of terms fused into one
+    gate, the invariant blocks and the Pauli DP runs. Each is built on
+    first use and lives as long as the model does.
     """
 
     n_qubits: int
@@ -158,43 +160,82 @@ class HamiltonianSum:
         return np.linalg.eigh(self.dense())
 
     @cached_property
-    def sectors(self) -> tuple:
-        """The sum restricted to each joint eigenspace of its Pauli
-        symmetries, as sums on n - k qubits; (self,) when it has none.
+    def runs(self) -> tuple:
+        """Term indices in maximal runs of consecutive, mutually commuting
+        terms whose x masks are 0 or one shared x: a weighted sum of a run
+        maps state b to b and b ^ x only, so its exponential is one gate."""
+        out, s = [[]], [t.masks() for t in self.terms]
+        for i, (x, z) in enumerate(s):
+            if x not in (0, max((s[j][0] for j in out[-1]), default=0) or x) or any(
+                ((x & s[j][1]) ^ (z & s[j][0])).bit_count() & 1 for j in out[-1]
+            ):
+                out.append([])
+            out[-1].append(i)
+        return tuple(map(tuple, out))
 
-        The k symmetries are independent commuting strings that commute
-        with every term (pauli.symmetry_generators), the first of them as
-        far as the sectors stay at MIN_SECTOR_DIM or above, tapered off by
-        a Clifford map (pauli.taper). Sector c is the eigenspace where
-        symmetry i has eigenvalue (-1)^c_i. Every sector keeps the Gamma
-        terms in order, each with that eigenvalue pattern folded into its
-        coefficient's sign, and the grouping. Every term, so every formula
-        stage, and exp(-iHt) are block diagonal in the sectors, so the
-        norm of any combination of them is the largest sector norm.
-        """
-        strings = [t.masks() for t in self.terms]
-        generators = pauli.symmetry_generators(strings, self.n_qubits)
-        while generators and self.dim >> len(generators) < MIN_SECTOR_DIM:
-            generators.pop()
-        if not generators:
+    @cached_property
+    def blocks(self) -> tuple:
+        """Subspaces every run keeps, so every fused run, formula, U_MP^r
+        and exp(-iHt) is block diagonal in them ((self,) if one is the
+        whole space): the components of the graph joining b and b ^ x
+        where a run with x mask x moves b. An X-string commuting with every
+        term (pauli.x_symmetries) maps a component onto one of equal norms;
+        the one with the smallest state is kept and split into the joint
+        eigenspaces of the X-strings mapping it onto itself. Blocks of equal
+        copies share a bin until it holds MIN_SECTOR_DIM states, within BIN_DIM."""
+        dim, every = self.dim, np.arange(self.dim)
+        _, _, moved = Block(self, every, every, np.ones(dim), 1).generators
+        label, old = every, None
+        while not np.array_equal(label, old):  # to the smallest joined state
+            old, label = label, np.minimum(label, label[moved].min(axis=0))
+            label = label[label]
+        group = np.zeros(1, dtype=label.dtype)
+        for x in pauli.x_symmetries([t.masks() for t in self.terms], self.n_qubits):
+            group = np.concatenate([group, group ^ x])
+        comps, counts = np.unique(label, return_counts=True)
+        images = label[comps[:, None] ^ group]  # of each component under each X-string
+        members = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
+        parts = []  # (states, basis states, basis vector of each, signs, copies)
+        for k in np.flatnonzero(images.min(axis=1) == comps).tolist():
+            cs, basis = members[k], []  # basis: the stabilizer's, no top bit set twice
+            for g in group[images[k] == comps[k]].tolist():
+                for b in basis:
+                    g = min(g, g ^ b)
+                if g:
+                    basis = [min(b, b ^ g) for b in basis] + [g]
+            copies = len(group) >> len(basis)
+            if not basis or len(cs) >> len(basis) < MIN_SECTOR_DIM:
+                # one part: no stabilizer, or its parts would be packed again
+                parts.append((cs, cs, np.arange(len(cs)), np.ones(len(cs)), copies))
+                continue
+            tops = [1 << b.bit_length() - 1 for b in basis]
+            rep = np.bitwise_xor.reduce(
+                [cs, *(np.where(cs & top, b, 0) for b, top in zip(basis, tops))])
+            reps = np.unique(rep)
+            for char in range(1 << len(basis)):
+                a = sum(top for i, top in enumerate(tops) if char >> i & 1)
+                signs = 1.0 - 2.0 * (np.bitwise_count(cs & a) & 1)
+                parts.append((cs, reps, np.searchsorted(reps, rep), signs, copies))
+        bins, sizes, small = [], [], {}  # small: copies -> the bin still filling
+        for part in parts:
+            size, copies = len(part[1]), part[4]
+            i = small.get(copies)
+            if i is None or sizes[i] >= MIN_SECTOR_DIM or sizes[i] + size > BIN_DIM:
+                i = small[copies] = len(bins)
+                bins.append([])
+                sizes.append(0)
+            bins[i].append(part)
+            sizes[i] += size
+        if sizes == [dim]:
             return (self,)
-        tapered = pauli.taper(strings, generators, self.n_qubits)
-        n = self.n_qubits - len(generators)
-        return tuple(
-            HamiltonianSum(
-                n,
-                tuple(
-                    PauliTerm(
-                        n,
-                        t.coefficient * sign * (-1) ** (c & flips).bit_count(),
-                        pauli.sites_from_masks(x, z),
-                    )
-                    for t, (x, z, sign, flips) in zip(self.terms, tapered)
-                ),
-                self.grouping,
-            )
-            for c in range(1 << len(generators))
-        )
+        blocks = []
+        for packed in bins:
+            pos, sign, states = np.full(dim, -1), np.ones(dim), np.zeros(0, dtype=int)
+            for cs, reps, local, signs, _ in packed:
+                pos[cs], sign[cs] = len(states) + local, signs
+                states = np.concatenate([states, reps])
+            blocks.append(Block(self, states, pos, sign, packed[0][4]))
+        return tuple(blocks)
 
     def term_matrices(self) -> list[np.ndarray]:
         """Dense matrices of the terms, built on every call."""
@@ -228,6 +269,47 @@ class HamiltonianSum:
             )
             self._dp_runs[budget] = (alphas, len(alphas) < depth)
         return alphas[:depth]
+
+
+class Block:
+    """A subspace every run of a sum keeps (HamiltonianSum.blocks), with
+    basis vector j = sum sign[c] |c> / sqrt(#) over the states c with
+    pos[c] == j (-1 off the block), states[j] one of them. It stands for
+    copies blocks of equal norms wherever the error paths take a sum."""
+
+    def __init__(self, model: HamiltonianSum, states, pos, sign, copies: int) -> None:
+        self.model, self.states, self.pos, self.sign = model, states, pos, sign
+        self.copies, self.gates = copies, {}  # gates: stage list -> fused gates
+
+    gamma = property(lambda self: self.model.gamma)
+    dim = property(lambda self: len(self.states))
+    real_symmetric = property(lambda self: self.model.real_symmetric)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """(d, o, idx) of every run's generator H_k on the block, stacked
+        over the runs: H_k v_j = d_j v_j + o_j v_idx[j], with o_j = 0 and
+        idx[j] = j where H_k keeps v_j to itself."""
+        model, cols = self.model, np.arange(self.dim)
+        starts = [run[0] for run in model.runs]  # runs are consecutive
+        x = np.array([t.masks()[0] for t in model.terms])[:, None]
+        entries = np.array([t.coefficient * a[1].ravel()[self.states]
+                            for t, a in zip(model.terms, model.stage_actions)])
+        o = np.add.reduceat(np.where(x > 0, entries, 0), starts)
+        d = np.add.reduceat(np.where(x > 0, 0, entries.real), starts)
+        partner = self.states ^ np.maximum.reduceat(x, starts)
+        idx, o = self.pos[partner], o * self.sign[partner]
+        d += np.where(idx == cols, o.real, 0.0)
+        moved = (o != 0) & (idx >= 0) & (idx != cols)
+        return d, np.where(moved, o, 0), np.where(moved, idx, cols)
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """(eigenvalues, eigenvectors) of the sum on the block."""
+        d, o, idx = self.generators
+        h, cols = np.diag(d.sum(axis=0).astype(np.complex128)), np.arange(self.dim)
+        np.add.at(h, (idx, np.broadcast_to(cols, idx.shape)), o)
+        return np.linalg.eigh(h)
 
 
 def heisenberg_1d(n: int, periodic: bool = True) -> HamiltonianSum:

@@ -98,9 +98,9 @@ def spectral_norm(a: np.ndarray) -> float:
 
     Exact SVD is affordable at desk scale (dim <= 1024) and serves as the
     verification anchor for every error measurement in the package. The
-    error paths call it once per symmetry sector of the model
-    (HamiltonianSum.sectors), so that bound is on the sector dimension:
-    a 12-qubit periodic chain splits into four sectors of dim 1024.
+    error paths call it once per invariant block of the model
+    (HamiltonianSum.blocks), so that bound is on the block dimension: a
+    12-qubit periodic chain has blocks of dim at most 792.
 
     Args:
         a: Square 2-D array.

@@ -4,8 +4,9 @@ A string is represented as P = i^e * X^x Z^z with x, z n-bit masks and
 e an exponent mod 4. Products and commutators stay inside the group up to
 phase, which is what makes the commutator-sum fast path exact: a nested
 commutator of Pauli strings is either zero or 2^(depth-1) times a single
-string. The same masks give a model's Pauli symmetries, a GF(2) null
-space, and the Clifford map that tapers them off.
+string. The same masks give the X-strings that commute with a model, a
+GF(2) null space that pairs and splits its invariant blocks
+(HamiltonianSum.blocks).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ _I = np.eye(2, dtype=np.complex128)
 
 PAULI_MATRICES = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
 
-# single-qubit letter -> (x bit, z bit), and back
+# single-qubit letter -> (x bit, z bit)
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 
 
 def masks_from_sites(paulis: dict[int, str]) -> tuple[int, int]:
@@ -32,15 +32,6 @@ def masks_from_sites(paulis: dict[int, str]) -> tuple[int, int]:
         x |= bx << site
         z |= bz << site
     return x, z
-
-
-def sites_from_masks(x: int, z: int) -> dict[int, str]:
-    '''Site->letter map of the masks (x, z); inverse of masks_from_sites.'''
-    return {
-        site: _BITS_LETTER[x >> site & 1, z >> site & 1]
-        for site in range(max(x, z).bit_length())
-        if (x | z) >> site & 1
-    }
 
 
 def string_action(x: int, z: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,31 +57,12 @@ def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
     return out
 
 
-def symmetry_generators(
-    strings: list[tuple[int, int]], n_qubits: int
-) -> list[tuple[int, int]]:
-    """Independent, mutually commuting strings (x, z) that commute with
-    every string given, as many as such a set can hold.
-
-    With a string held as the key (x << n) | z, the strings commuting with
-    term (x_t, z_t) are the keys s with popcount(s & ((z_t << n) | x_t))
-    even: the GF(2) null space of those rows, reduced in term order and
-    read off by ascending free column. Symplectic Gram-Schmidt then keeps a
-    basis vector v, drops the first later vector w that anticommutes with
-    it, and makes every other later vector commute with both. The kept
-    vectors are isotropic, and their count, the radical's dimension plus
-    one per dropped pair, is the largest an isotropic subspace of the null
-    space has.
-    """
-    n = n_qubits
-    low = (1 << n) - 1
-
-    def anticommute(a: int, b: int) -> bool:
-        return (a & (((b & low) << n) | (b >> n))).bit_count() & 1 == 1
-
+def x_symmetries(strings: list[tuple[int, int]], n_qubits: int) -> list[int]:
+    """A basis of the masks x whose X^x commutes with every string (x_t,
+    z_t) given, popcount(x & z_t) even: the GF(2) null space of the z
+    masks, reduced in string order and read off by ascending free column."""
     pivots: list = []  # (column, row); no row has another row's column set
-    for x, z in strings:
-        row = (z << n) | x
+    for _, row in strings:
         for col, pivot_row in pivots:
             if row >> col & 1:
                 row ^= pivot_row
@@ -99,107 +71,11 @@ def symmetry_generators(
             pivots = [(c, p ^ row if p >> col & 1 else p) for c, p in pivots]
             pivots.append((col, row))
     taken = {col for col, _ in pivots}
-    null = [
+    return [
         (1 << free) | sum(1 << col for col, row in pivots if row >> free & 1)
-        for free in range(2 * n)
+        for free in range(n_qubits)
         if free not in taken
     ]
-    kept = []
-    while null:
-        v = null.pop(0)
-        kept.append(v)
-        w = next((u for u in null if anticommute(v, u)), None)
-        if w is not None:
-            null.remove(w)
-            null = [
-                u ^ (v if anticommute(u, w) else 0) ^ (w if anticommute(u, v) else 0)
-                for u in null
-            ]
-    return [(key >> n, key & low) for key in kept]
-
-
-def _bits(mask: int) -> list[int]:
-    return [q for q in range(mask.bit_length()) if mask >> q & 1]
-
-
-def taper(
-    strings: list[tuple[int, int]],
-    generators: list[tuple[int, int]],
-    n_qubits: int,
-) -> list[tuple[int, int, int, int]]:
-    """Every string on the n - k qubits left once the k generators are
-    tapered off, as (x, z, sign, flips).
-
-    H, S and CNOT gates make a Clifford map sending generator i to +-Z on
-    a pivot qubit of its own (Bravyi, Gambetta, Mezzacapo & Temme,
-    arXiv:1701.08213). Each string is carried through every gate as
-    i^e X^x Z^z, so its phase is exact. A string that commutes with the
-    generators has no X on a pivot, so on the joint eigenspace where
-    generator i has eigenvalue (-1)^c_i it acts as
-    sign * (-1)^popcount(c & flips) times the Hermitian string (x, z), the
-    pivots removed and the other qubits renumbered in order.
-
-    Raises:
-        ValueError: If the generators are dependent or anticommute, or a
-            string anticommutes with one of them.
-    """
-    ops = [[x, z, (x & z).bit_count()] for x, z in [*generators, *strings]]
-
-    def phase_gate(q: int) -> None:  # S: X -> Y = iXZ
-        for op in ops:
-            if op[0] >> q & 1:
-                op[1] ^= 1 << q
-                op[2] += 1
-
-    def hadamard(q: int) -> None:  # X <-> Z, XZ -> ZX = -XZ
-        for op in ops:
-            a, b = op[0] >> q & 1, op[1] >> q & 1
-            if a != b:
-                op[0] ^= 1 << q
-                op[1] ^= 1 << q
-            op[2] += 2 * a * b
-
-    def cnot(c: int, t: int) -> None:  # X_c -> X_c X_t, Z_t -> Z_c Z_t
-        for op in ops:
-            if op[0] >> c & 1:
-                op[0] ^= 1 << t
-            if op[1] >> t & 1:
-                op[1] ^= 1 << c
-
-    pivots: list = []
-    for gen in ops[: len(generators)]:
-        done = sum(1 << p for p in pivots)
-        support = (gen[0] | gen[1]) & ~done
-        if gen[0] & done or not support:
-            raise ValueError("generators must be independent and commute")
-        for q in _bits(support):
-            if gen[0] >> q & 1:
-                if gen[1] >> q & 1:
-                    phase_gate(q)
-                hadamard(q)
-        pivot = _bits(support)[0]
-        for q in _bits(gen[1] & ~(1 << pivot)):
-            cnot(q, pivot)
-        pivots.append(pivot)
-    done = sum(1 << p for p in pivots)
-    keep = [q for q in range(n_qubits) if not done >> q & 1]
-    out = []
-    for x, z, e in ops[len(generators):]:
-        if x & done:
-            raise ValueError("a string anticommutes with the generators")
-        flips = sum(1 << i for i, p in enumerate(pivots) if z >> p & 1)
-        # i^e X^x Z^z is +-1 times the Hermitian string; a generator's
-        # image sign_i Z_p turns Z_p into sign_i times its eigenvalue.
-        # The total exponent is even, so i^e is 1 - e % 4.
-        e -= (x & z).bit_count()
-        e += sum(ops[i][2] for i in _bits(flips))
-        out.append((
-            sum((x >> q & 1) << i for i, q in enumerate(keep)),
-            sum((z >> q & 1) << i for i, q in enumerate(keep)),
-            1 - e % 4,
-            flips,
-        ))
-    return out
 
 
 # (x << n) | z must fit one uint64 key

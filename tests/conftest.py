@@ -45,6 +45,37 @@ def gather_stage_product(h, t, spec):
     return out
 
 
+def stage_product_times(h, t, spec, vectors):
+    """U @ vectors for U the stage product gather_stage_product builds,
+    applied stage by stage from the right without forming U:
+    exp(-i theta P) v = cos(theta) v - i sin(theta) P v, (P v)[b ^ x] =
+    phases[b] v[b]."""
+    out = np.asarray(vectors, dtype=np.complex128)
+    for g, c in reversed(spec.stages):
+        theta = c * t * h.terms[g].coefficient
+        perm, phases = pauli.string_action(*h.terms[g].masks(), h.n_qubits)
+        moved = np.empty_like(out)
+        moved[perm] = phases[:, None] * out
+        out = math.cos(theta) * out - (1j * math.sin(theta)) * moved
+    return out
+
+
+def block_basis(block):
+    """The block's orthonormal basis vectors as the columns of a dense
+    array, one row per state of the model's space."""
+    basis = np.zeros((block.model.dim, block.dim))
+    inside = np.flatnonzero(block.pos >= 0)
+    basis[inside, block.pos[inside]] = block.sign[inside]
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def sites(x, z):
+    """Site -> letter map of the Pauli string with masks (x, z)."""
+    letters = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return {q: letters[x >> q & 1, z >> q & 1] for q in range(max(x, z).bit_length())
+            if (x | z) >> q & 1}
+
+
 def anticommute(a, b):
     """Whether the Pauli strings with masks a = (x, z) and b anticommute."""
     return ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) % 2 == 1

@@ -198,7 +198,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("extra, calls", [
         (("--n", "3"), 8),  # steps 0.8, 0.4 and 0.2 to find the grid, then 5 more
-        (("--n", "6", "--evolver", "mpf", "--m", "3"), 14),  # 2 sectors
+        (("--n", "6", "--evolver", "mpf", "--m", "3"), 14),  # 2 blocks
     ])
     def test_default_grid_measures_each_step_once(self, run, monkeypatch, extra, calls):
         counted = []
@@ -523,6 +523,9 @@ class TestConfigAndIo:
         # the deepest alpha of a power-law model is not an integer
         ("commutators", "--model", "power_law", "--n", "6", "--d", "1",
          "--alpha", "2.0", "--seed", "7"),
+        # the benchmark's chain-scaling call: every block is of dim <= 64
+        ("benchmark", "--n-list", "4,6,8", "--m-list", "1,2,3", "--eps", "0.001",
+         "--format", "json"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpf_lab.experiments as experiments
-from mpf_lab import pauli
+from mpf_lab import mpf
 from mpf_lab.commutators import build_table, convergence_radius
 from mpf_lab.experiments import (
     LIMIT_EXPONENT,
@@ -290,18 +290,20 @@ class TestBenchmark:
         assert len(calls) == 9 and max(calls.values()) <= 5
 
     def test_errors_are_measured_in_sectors_only(self, monkeypatch):
-        # every dense matrix and stage action is built from string actions
-        widths = collections.Counter()
-        action = pauli.string_action
+        # every product and exact evolution is formed on an invariant
+        # block (HamiltonianSum.blocks), none on a full 7- or 8-qubit
+        # space: dims 22 and 20 (n = 6), 64 (n = 7), 37, 56, 35, 35 (n = 8)
+        dims = collections.Counter()
+        evaluate, eigh = mpf.evaluate_spec, np.linalg.eigh
 
-        def recorded(x, z, n_qubits):
-            widths[n_qubits] += 1
-            return action(x, z, n_qubits)
+        def recorded(h, t, spec):
+            dims[h.dim] += 1
+            return evaluate(h, t, spec)
 
-        monkeypatch.setattr(pauli, "string_action", recorded)
+        monkeypatch.setattr(mpf, "evaluate_spec", recorded)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: dims.update([len(a)]) or eigh(a))
         heisenberg_benchmark((6, 7, 8), (1,), eps=1e-2)
-        # sectors of dim 32, 2 x 64 and 4 x 64; no full 7- or 8-qubit chain
-        assert set(widths) == {5, 6}
+        assert set(dims) == {20, 22, 35, 37, 56, 64}
 
     def test_one_search_per_cell(self, monkeypatch):
         eps = 0.01
@@ -464,7 +466,7 @@ class TestSearch:
 
         monkeypatch.setattr(experiments, "_predict_crossing", recorded)
         # one probe certifies nothing unless it is r = 1, so the search predicts
-        targets = experiments._sector_targets(heis3, 3.0)
+        targets = experiments._block_targets(heis3, 3.0)
         experiments._benchmark_cell(
             heis3, 3.0, 1e-3, scheme, targets, build_table(heis3, 9)
         )

@@ -5,7 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import fit_loglog, gather_stage_product
+from conftest import (
+    anticommute,
+    block_basis,
+    fit_loglog,
+    gather_stage_product,
+    sites,
+    stage_product_times,
+)
 from mpf_lab import pauli
 from mpf_lab.experiments import exact_evolution
 from mpf_lab.formulas import (
@@ -14,7 +21,7 @@ from mpf_lab.formulas import (
     evaluate_spec,
     suzuki_coefficient,
 )
-from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
+from mpf_lab.hamiltonians import Block, HamiltonianSum, PauliTerm, heisenberg_1d
 from mpf_lab.mpf import MpfScheme, mpf_operator, solve_order_condition
 from mpf_lab.operators import spectral_norm
 
@@ -100,19 +107,26 @@ def test_mirrored_product_matches_oracle_on_real_sums(h, t, order):
     assert np.abs(got - gather_stage_product(h, t, spec)).max() <= 1e-14
 
 
-CHAIN_SECTORS = [*heisenberg_1d(8).sectors, heisenberg_1d(10).sectors[1]]
+# the invariant blocks of the chains (HamiltonianSum.blocks): n = 8 has
+# four, of dim 37, 56, 35 and 35; n = 10 block 1 is the popcount-2 one
+CHAIN_SECTORS = [*heisenberg_1d(8).blocks, heisenberg_1d(10).blocks[1]]
 CHAIN_SECTOR_IDS = [f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"]
+
+
+def _on_block(block, t, spec):
+    """The whole-space stage product restricted to the block."""
+    basis = block_basis(block)
+    return basis.T @ stage_product_times(block.model, t, spec, basis)
 
 
 @pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
 def test_stage_product_matches_oracle_in_chain_sectors(sector):
-    # the kernel, bit for bit: the first half of U2 is not a palindrome,
-    # so it is swept whole
+    # the first half of U2 is not a palindrome, so it is swept whole; its
+    # fused bond gates match the single stages to rounding
     stages = build_spec(2, sector.gamma).stages
     half = ProductFormulaSpec(2, stages[: len(stages) // 2])
-    assert np.array_equal(
-        evaluate_spec(sector, 0.37, half), gather_stage_product(sector, 0.37, half)
-    )
+    got = evaluate_spec(sector, 0.37, half)
+    assert np.abs(got - _on_block(sector, 0.37, half)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
@@ -121,7 +135,57 @@ def test_mirrored_product_matches_oracle_in_chain_sectors(sector, order):
     assert sector.real_symmetric
     spec = build_spec(order, sector.gamma)
     got = evaluate_spec(sector, 0.37, spec)
-    assert np.abs(got - gather_stage_product(sector, 0.37, spec)).max() <= 1e-14
+    assert np.abs(got - _on_block(sector, 0.37, spec)).max() <= 1e-14
+
+
+def test_half_sweep_applies_one_gate_per_bond():
+    # each bond's XX, YY and ZZ stages are one gate: the n = 8 half sweep
+    # of U2 applies 8 gates per block, not 24 stages
+    h = heisenberg_1d(8)
+    spec = build_spec(2, h.gamma)
+    for block in h.blocks:
+        evaluate_spec(block, 0.3, spec)
+        [gates] = block.gates.values()
+        assert all(len(a) == 8 for a in gates)
+
+
+@st.composite
+def commuting_runs(draw):
+    """(n, terms): Pauli strings on up to 5 qubits whose x masks are 0 or
+    one shared mask, each commuting with the ones before it, with
+    coefficients in [-2, 2]."""
+    n = draw(st.integers(1, 5))
+    shared = draw(st.integers(0, 2**n - 1))
+    terms = []
+    for coefficient, moves, z in draw(st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.booleans(), st.integers(0, 2**n - 1)),
+        min_size=1, max_size=6,
+    )):
+        string = (shared if moves else 0, z)
+        if string != (0, 0) and not any(anticommute(string, s) for _, s in terms):
+            terms.append((coefficient, string))
+    return n, terms or [(1.0, (0, 1))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(commuting_runs(), st.floats(-1.5, 1.5), st.sampled_from([1, 2, 4]))
+def test_fused_commuting_run_matches_the_unfused_product(spec, t, order):
+    n, raw = spec
+    h = HamiltonianSum(n, tuple(PauliTerm(n, c, sites(*s)) for c, s in raw))
+    assert h.runs == (tuple(range(h.gamma)),)
+    # the whole space as one block: every sweep of the run is one gate
+    states = np.arange(h.dim)
+    whole = Block(h, states, states, np.ones(h.dim), 1)
+    formula = build_spec(order, h.gamma)
+    got = evaluate_spec(whole, t, formula)
+    assert np.abs(got - gather_stage_product(h, t, formula)).max() <= 1e-14
+
+
+def test_stage_lists_must_weight_each_run_evenly():
+    h = heisenberg_1d(4)
+    block = h.blocks[0]
+    with pytest.raises(ValueError, match="unequally"):
+        evaluate_spec(block, 0.3, ProductFormulaSpec(1, ((0, 1.0), (1, 0.5), (2, 1.0))))
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6])

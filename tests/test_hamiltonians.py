@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import BAD_MODEL_FILES, anticommute, dense_sum, z_model
-from mpf_lab import hamiltonians, pauli
+from conftest import BAD_MODEL_FILES, anticommute, block_basis, dense_sum, sites, z_model
+from mpf_lab import hamiltonians
 from mpf_lab.experiments import exact_evolution
+from mpf_lab.formulas import build_spec, evaluate_spec
 from mpf_lab.hamiltonians import (
     HamiltonianSum,
     NotLatticeError,
@@ -234,8 +237,45 @@ def planted_sums(draw):
 
 @pytest.fixture
 def full_split(monkeypatch):
-    """Split a sum however small its sectors get."""
+    """Keep every block however small: none is packed into a bin."""
     monkeypatch.setattr(hamiltonians, "MIN_SECTOR_DIM", 1)
+
+
+def _check_blocks(h):
+    """What the blocks claim, against dense whole-space oracles: with their
+    copies they partition the space, every run's generator and so every
+    formula and exp(-iHt) keep them, the block results are the whole-space
+    ones restricted, the block spectra with copies are the full spectrum,
+    and the norm of an error is the largest block norm."""
+    blocks = h.blocks
+    if blocks[0] is h:
+        return
+    bases = [block_basis(b) for b in blocks]
+    stacked = np.hstack(bases)
+    assert np.allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), atol=1e-12)
+    assert sum(b.dim * b.copies for b in blocks) == h.dim
+    dense = dense_sum(h)
+    spectrum = np.concatenate([np.repeat(b.eigh[0], b.copies) for b in blocks])
+    assert np.allclose(np.sort(spectrum), np.linalg.eigvalsh(dense), atol=1e-10)
+    exact = scipy.linalg.expm(-1.3j * dense)
+    runs = [sum(dense_sum(HamiltonianSum(h.n_qubits, (h.terms[t],))) for t in run)
+            for run in h.runs]
+    for order in (1, 2, 4):
+        spec = build_spec(order, h.gamma)
+        full = evaluate_spec(h, 1.3, spec)
+        for b, basis in zip(blocks, bases):
+            for op in (*runs, full, exact):
+                leak = op @ basis - basis @ (basis.T @ op @ basis)
+                assert np.abs(leak).max() <= 1e-12
+            assert np.abs(evaluate_spec(b, 1.3, spec) - basis.T @ full @ basis).max() <= 1e-12
+            assert np.abs(exact_evolution(b, 1.3) - basis.T @ exact @ basis).max() <= 1e-12
+    scheme = solve_order_condition(power_schedule(2), 2)
+    whole = spectral_norm(mpf_evolve(h, 1.5, 3, scheme) - exact_evolution(h, 1.5))
+    largest = max(
+        spectral_norm(mpf_evolve(b, 1.5, 3, scheme) - exact_evolution(b, 1.5))
+        for b in blocks
+    )
+    assert abs(largest - whole) <= 1e-12 + 1e-12 * whole
 
 
 @settings(deadline=None, max_examples=60,
@@ -243,32 +283,49 @@ def full_split(monkeypatch):
 @given(planted_sums())
 def test_sectors_split_every_error_exactly(full_split, spec):
     n, planted, raw = spec
-    terms = tuple(PauliTerm(n, c, pauli.sites_from_masks(*s)) for c, s in raw)
-    h = HamiltonianSum(n, terms, tuple((g,) for g in range(len(terms))))
-    sectors = h.sectors
-    assert len(sectors) >= 2 ** len(planted)
-    assert sum(s.dim for s in sectors) == h.dim
-    for s in sectors:
-        assert s.grouping == h.grouping
-        assert [abs(t.coefficient) for t in s.terms] == [t.norm for t in h.terms]
-    gens = pauli.symmetry_generators([t.masks() for t in terms], n)
-    dense = dense_sum(h)
-    for c, s in enumerate(sectors):
-        # sector c is H on the eigenspace where generator i has eigenvalue (-1)^c_i
-        proj = np.eye(h.dim)
-        for i, g in enumerate(gens):
-            proj = proj @ (np.eye(h.dim) + (-1) ** (c >> i & 1) * pauli.dense_string(*g, n)) / 2
-        w, v = np.linalg.eigh(proj)
-        basis = v[:, w > 0.5]
-        assert np.allclose(np.linalg.eigvalsh(basis.conj().T @ dense @ basis),
-                           np.linalg.eigvalsh(dense_sum(s)), atol=1e-10)
-    scheme = solve_order_condition(power_schedule(2), 2)
-    full = spectral_norm(mpf_evolve(h, 1.5, 3, scheme) - exact_evolution(h, 1.5))
-    largest = max(
-        spectral_norm(mpf_evolve(s, 1.5, 3, scheme) - exact_evolution(s, 1.5))
-        for s in sectors
-    )
-    assert abs(largest - full) <= 1e-12 + 1e-12 * full
+    h = HamiltonianSum(n, tuple(PauliTerm(n, c, sites(*s)) for c, s in raw))
+    if any(x == 0 or z == 0 for x, z in planted):
+        # a Z-string symmetry separates components; an X-string pairs or
+        # splits them
+        assert h.blocks[0] is not h
+    _check_blocks(h)
+
+
+@st.composite
+def conserving_sums(draw):
+    """Sums on up to 5 qubits of XX + YY pairs with one coefficient, ZZ
+    and Z terms: every run conserves the number of set bits."""
+    n = draw(st.integers(2, 5))
+    site = st.integers(0, n - 1)
+    terms = []
+    for kind, i, j, c in draw(st.lists(
+        st.tuples(st.sampled_from(["flip", "zz", "z"]), site, site, st.floats(-2.0, 2.0)),
+        min_size=1, max_size=8,
+    )):
+        if kind == "flip" and i != j:
+            terms += [PauliTerm(n, c, {i: "X", j: "X"}), PauliTerm(n, c, {i: "Y", j: "Y"})]
+        elif kind == "zz" and i != j:
+            terms.append(PauliTerm(n, c, {i: "Z", j: "Z"}))
+        elif kind == "z":
+            terms.append(PauliTerm(n, c, {i: "Z"}))
+    return HamiltonianSum(n, tuple(terms) or (PauliTerm(n, 1.0, {0: "Z"}),))
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(conserving_sums())
+def test_blocks_of_conserving_sums_match_the_whole_space(full_split, h):
+    # the all-zero state is a block of its own
+    assert h.blocks[0] is not h
+    _check_blocks(h)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pauli_sums)
+def test_blocks_of_any_sum_match_the_whole_space(full_split, spec):
+    n, raw = spec
+    _check_blocks(HamiltonianSum(n, tuple(PauliTerm(n, c, letters) for c, letters in raw)))
 
 
 def test_symmetry_free_model_is_one_sector(full_split):
@@ -277,27 +334,36 @@ def test_symmetry_free_model_is_one_sector(full_split):
     every = [(x, z) for x in range(16) for z in range(16) if (x, z) != (0, 0)]
     # every string but the identity anticommutes with some term
     assert all(any(anticommute(s, t) for t in strings) for s in every)
-    assert h.sectors == (h,) and h.sectors[0] is h
+    assert h.blocks == (h,) and h.blocks[0] is h
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_chain_sectors_from_the_product_strings(full_split, n, periodic):
-    # prod X and prod Z commute with every bond term; for odd n they
-    # anticommute with each other, so only one of them splits the space
-    k = 1 if n % 2 else 2
+    # the bond gates conserve the number k of set bits and X^n maps k onto
+    # n - k: the blocks are k < n/2, two copies each, and for even n the
+    # k = n/2 states split by the parity of X^n
     h = heisenberg_1d(n, periodic)
-    assert [s.n_qubits for s in h.sectors] == [n - k] * 2**k
-    spectrum = np.concatenate([s.eigh[0] for s in h.sectors])
-    assert np.allclose(np.sort(spectrum), h.eigh[0], atol=1e-10)
+    pairs = [math.comb(n, k) for k in range((n + 1) // 2)]
+    halves = [math.comb(n, n // 2) // 2] * 2 if n % 2 == 0 else []
+    assert [b.dim for b in h.blocks] == pairs + halves
+    assert [b.copies for b in h.blocks] == [2] * len(pairs) + [1] * len(halves)
+    _check_blocks(h)
 
 
 @pytest.mark.parametrize("h, dims", [
-    (heisenberg_1d(4), [16]),
-    (heisenberg_1d(6), [32, 32]),
-    (heisenberg_1d(8), [64] * 4),
-    (heisenberg_1d(9), [256] * 2),
+    (heisenberg_1d(4), [5, 6]),
+    (heisenberg_1d(6), [22, 20]),
+    (heisenberg_1d(7), [64]),
+    (heisenberg_1d(8), [37, 56, 35, 35]),
+    (heisenberg_1d(9), [46, 84, 126]),
     (HamiltonianSum(8, tuple(PauliTerm(8, 1.0, {q: "Z"}) for q in range(8))), [32] * 8),
-], ids=["heis4", "heis6", "heis8", "heis9", "commuting8"])
+], ids=["heis4", "heis6", "heis7", "heis8", "heis9", "commuting8"])
 def test_sectors_stop_at_the_smallest_worthwhile_dim(h, dims):
-    assert [s.dim for s in h.sectors] == dims
+    # blocks of equal copies share a bin until it holds MIN_SECTOR_DIM
+    # states, and no bin outgrows BIN_DIM: a complex SVD above dim 64 can
+    # change its bits with the BLAS thread count. Heisenberg n = 8 is
+    # popcount 0, 1 and 2 in one bin, then 3, then popcount 4 split by the
+    # parity of X^n.
+    assert [b.dim for b in h.blocks] == dims
+    assert max(dims) <= hamiltonians.BIN_DIM or h.n_qubits > 8

@@ -14,10 +14,8 @@ from mpf_lab.pauli import (
     PAULI_MATRICES,
     dense_string,
     masks_from_sites,
-    sites_from_masks,
     string_action,
-    symmetry_generators,
-    taper,
+    x_symmetries,
 )
 
 site_maps = st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4)
@@ -66,33 +64,13 @@ term_strings = st.integers(1, 4).flatmap(
 
 @settings(deadline=None, max_examples=80)
 @given(term_strings)
-def test_symmetry_generators_are_a_largest_commuting_set(spec):
+def test_x_symmetries_are_every_x_string_commuting_with_the_terms(spec):
     n, strings = spec
-    gens = symmetry_generators(strings, n)
-    every = [(x, z) for x in range(2**n) for z in range(2**n)]
-    commutant = [s for s in every if not any(anticommute(s, t) for t in strings)]
-    radical = [s for s in commutant if not any(anticommute(s, c) for c in commutant)]
-    # a largest isotropic subspace: the radical plus half of the rest
-    k_c, k_r = len(commutant).bit_length() - 1, len(radical).bit_length() - 1
-    assert len(gens) == k_r + (k_c - k_r) // 2
-    assert set(gens) <= set(commutant)
-    assert not any(anticommute(a, b) for a in gens for b in gens)
-    assert len(_span(gens)) == 2 ** len(gens)
-
-
-def test_taper_rejects_generators_that_are_not_a_commuting_set():
-    xx, zz, x0 = (0b11, 0b00), (0b00, 0b11), (0b01, 0b00)
-    with pytest.raises(ValueError, match="independent and commute"):
-        taper([xx, zz], [xx, xx], 2)  # dependent
-    with pytest.raises(ValueError, match="independent and commute"):
-        taper([], [x0, zz], 2)  # anticommuting
-    with pytest.raises(ValueError, match="anticommutes"):
-        taper([xx, zz, x0], [zz], 2)
-
-
-@given(site_maps)
-def test_sites_from_masks_inverts_masks_from_sites(paulis):
-    assert sites_from_masks(*masks_from_sites(paulis)) == paulis
+    xs = x_symmetries(strings, n)
+    commuting = {x for x in range(2**n) if not any(anticommute((x, 0), t) for t in strings)}
+    # an independent basis of exactly those masks
+    assert {x for x, _ in _span([(x, 0) for x in xs])} == commuting
+    assert len(commuting) == 2 ** len(xs)
 
 
 # a few strings drawn with repeats, coefficients with signed zeros
