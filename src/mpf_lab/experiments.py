@@ -5,8 +5,12 @@ Every error is a spectral norm ||V - exp(-iHt)|| of a formula or
 multi-product operator V, measured block by block: every fused run of
 stages and exp(-iHt) keep the model's invariant blocks
 (HamiltonianSum.blocks), so the norm is the largest block norm, exactly.
-The error paths form a full-space product only for a model whose one
-block is the whole space.
+The blocks measured are HamiltonianSum.error_blocks. When every run's
+generator commutes with sum_i X_i and sum_i Z_i (checked exactly), and so
+with total spin, only the blocks reaching the states of popcount floor(n/2)
+are kept: those states hold the error on every total spin. Otherwise all
+blocks are measured. The error paths form a full-space product only for a
+model whose one block is the whole space.
 
 A convergence study fits the one-step error against the step size on a
 log-log scale; given no grid it picks its own, one measurement per step.
@@ -16,10 +20,12 @@ which the powered multi-product step crosses the target accuracy over
 total time T = n, certified by err(r) <= eps < err(r - 1) with both
 evaluated (the minimal r when the error falls with r), then fits the
 query count r * ||k||_1 against n on a log-log scale, next to the
-exponent theory_exponent(m) predicts for the well-conditioned MPF of Low,
-Kliuchnikov & Wiebe (arXiv:1907.11679). Bounds are evaluated from a
-commutator table truncated at a depth cap; a tail flag says whether the
-truncated series was still falling at the cap.
+exponent theory_exponent(m). Its schedule is the natural powers 1..m
+(mpf.power_schedule(m)), not the well-conditioned schedule of Low,
+Kliuchnikov & Wiebe (arXiv:1907.11679) whose scaling that exponent
+predicts; with natural powers ||a||_1 roughly doubles with each m. Bounds
+are evaluated from a commutator table truncated at a depth cap; a tail
+flag says whether the truncated series was still falling at the cap.
 """
 
 from __future__ import annotations
@@ -146,9 +152,9 @@ def exact_evolution(h: HamiltonianSum, t: float) -> np.ndarray:
 
 
 def _block_targets(h: HamiltonianSum, t: float) -> tuple:
-    """exp(-iHt) on each of h.blocks, in block order: the targets of
+    """exp(-iHt) on each of h.error_blocks, in block order: the targets of
     _powered_error."""
-    return tuple(exact_evolution(b, t) for b in h.blocks)
+    return tuple(exact_evolution(b, t) for b in h.error_blocks)
 
 
 def _loglog_fit(xs, ys):
@@ -274,13 +280,13 @@ def error_bound_evaluate(
 def _powered_error(
     h: HamiltonianSum, big_t: float, r: int, scheme: MpfScheme, targets: tuple
 ) -> float:
-    """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.blocks,
+    """||U_MP(T/r)^r - exp(-iHT)||: the largest error over h.error_blocks,
     targets holding each block's exp(-iHT) in block order
     (_block_targets). Every error the module reports is this one; r = 1
     is the one-step error of studies and bounds."""
     return max(
         float(spectral_norm(mpf_evolve(b, big_t, r, scheme) - target))
-        for b, target in zip(h.blocks, targets)
+        for b, target in zip(h.error_blocks, targets)
     )
 
 

@@ -9,6 +9,7 @@ its (x, z) masks and coefficient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,9 +32,9 @@ __all__ = [
 
 
 # Smaller blocks cost more in call overhead than they save, so they share bins
-# (HamiltonianSum.blocks). Best of 7 on 2 vCPUs at 32 / 8 / 1: `chain-scaling`
-# 0.048 / 0.050 / 0.057 s; `convergence --model commuting --n 8` 0.010 / 0.017 /
-# 0.090 s.
+# (HamiltonianSum.blocks). Best of 21 on 2 vCPUs (numpy 2.4, OpenBLAS) at
+# 32 / 16 / 8 / 1, measured with the error blocks: `chain-scaling` 35 / 31 / 33 /
+# 35 ms, within noise; `convergence --model commuting --n 8` 12 / 13 / 20 / 99 ms.
 MIN_SECTOR_DIM = 32
 # A complex SVD keeps its bits under 1 and 2 OpenBLAS threads up to dim 65 only
 # (numpy 2.4), so no bin is larger than this.
@@ -183,6 +184,34 @@ class HamiltonianSum:
         the one with the smallest state is kept and split into the joint
         eigenspaces of the X-strings mapping it onto itself. Blocks of equal
         copies share a bin until it holds MIN_SECTOR_DIM states, within BIN_DIM."""
+        return self._blocks(False)
+
+    @cached_property
+    def error_blocks(self) -> tuple:
+        """The blocks the error paths measure. If every run's generator
+        commutes with sum_i X_i and sum_i Z_i, and so with total spin S, every
+        operator they form is (+)_S I_(2S+1) (x) E_S and the states of
+        popcount floor(n/2) hold every E_S: only the orbits holding such a
+        state are kept. Otherwise these are the blocks. The check is exact:
+        on each string R the math.fsum of the +-c with P q = +-iR (P a
+        run's term, q a letter on its support) is 0, and an exact sum that
+        is not 0 does not round to 0."""
+        for run in self.runs:
+            parts: dict = {}  # (q, R) -> the +-c
+            for term in (self.terms[t] for t in run):
+                for site, letter in term.paulis.items():
+                    for q in "XZ".replace(letter, ""):  # anticommuting with letter
+                        rest = "XYZ".replace(letter, "").replace(q, "")
+                        r = frozenset({**term.paulis, site: rest}.items())
+                        sign = 1 if letter + q in "XYZX" else -1  # XY = iZ, YX = -iZ
+                        parts.setdefault((q, r), []).append(sign * term.coefficient)
+            if any(math.fsum(v) for v in parts.values()):
+                return self.blocks
+        return self._blocks(True)
+
+    def _blocks(self, middle: bool) -> tuple:
+        """blocks, or with middle only the orbits holding a state of
+        popcount floor(n/2) (error_blocks)."""
         dim, every = self.dim, np.arange(self.dim)
         _, _, moved = Block(self, every, every, np.ones(dim), 1).generators
         label, old = every, None
@@ -196,7 +225,11 @@ class HamiltonianSum:
         images = label[comps[:, None] ^ group]  # of each component under each X-string
         members = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
         parts = []  # (states, basis states, basis vector of each, signs, copies)
-        for k in np.flatnonzero(images.min(axis=1) == comps).tolist():
+        keep = images.min(axis=1) == comps
+        if middle:  # an image of the component holds a popcount floor(n/2) state
+            mid = label[np.bitwise_count(every) == self.n_qubits // 2]
+            keep &= np.isin(images, mid).any(axis=1)
+        for k in np.flatnonzero(keep).tolist():
             cs, basis = members[k], []  # basis: the stabilizer's, no top bit set twice
             for g in group[images[k] == comps[k]].tolist():
                 for b in basis:

@@ -98,9 +98,9 @@ def spectral_norm(a: np.ndarray) -> float:
 
     Exact SVD is affordable at desk scale (dim <= 1024) and serves as the
     verification anchor for every error measurement in the package. The
-    error paths call it once per invariant block of the model
-    (HamiltonianSum.blocks), so that bound is on the block dimension: a
-    12-qubit periodic chain has blocks of dim at most 792.
+    error paths call it once per invariant block they measure
+    (HamiltonianSum.error_blocks), so that bound is on the block dimension:
+    a 12-qubit periodic chain has two error blocks, each of dim 462.
 
     Args:
         a: Square 2-D array.

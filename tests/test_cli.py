@@ -198,7 +198,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("extra, calls", [
         (("--n", "3"), 8),  # steps 0.8, 0.4 and 0.2 to find the grid, then 5 more
-        (("--n", "6", "--evolver", "mpf", "--m", "3"), 14),  # 2 blocks
+        (("--n", "6", "--evolver", "mpf", "--m", "3"), 7),  # 1 error block
     ])
     def test_default_grid_measures_each_step_once(self, run, monkeypatch, extra, calls):
         counted = []
@@ -526,6 +526,9 @@ class TestConfigAndIo:
         # the benchmark's chain-scaling call: every block is of dim <= 64
         ("benchmark", "--n-list", "4,6,8", "--m-list", "1,2,3", "--eps", "0.001",
          "--format", "json"),
+        # an odd chain: one error block of dim 35
+        ("convergence", "--model", "heisenberg", "--n", "7", "--evolver", "mpf",
+         "--m", "2"),
     ])
     def test_output_independent_of_blas_threads(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

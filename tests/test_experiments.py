@@ -290,9 +290,10 @@ class TestBenchmark:
         assert len(calls) == 9 and max(calls.values()) <= 5
 
     def test_errors_are_measured_in_sectors_only(self, monkeypatch):
-        # every product and exact evolution is formed on an invariant
-        # block (HamiltonianSum.blocks), none on a full 7- or 8-qubit
-        # space: dims 22 and 20 (n = 6), 64 (n = 7), 37, 56, 35, 35 (n = 8)
+        # every product and exact evolution is formed on an error block
+        # (HamiltonianSum.error_blocks), none on a full 7- or 8-qubit space
+        # and none away from popcount floor(n/2): dims 20 (n = 6), 35 (n = 7)
+        # and 35, 35 (n = 8)
         dims = collections.Counter()
         evaluate, eigh = mpf.evaluate_spec, np.linalg.eigh
 
@@ -303,7 +304,7 @@ class TestBenchmark:
         monkeypatch.setattr(mpf, "evaluate_spec", recorded)
         monkeypatch.setattr(np.linalg, "eigh", lambda a: dims.update([len(a)]) or eigh(a))
         heisenberg_benchmark((6, 7, 8), (1,), eps=1e-2)
-        assert set(dims) == {20, 22, 35, 37, 56, 64}
+        assert set(dims) == {20, 35}
 
     def test_one_search_per_cell(self, monkeypatch):
         eps = 0.01

@@ -367,3 +367,69 @@ def test_sectors_stop_at_the_smallest_worthwhile_dim(h, dims):
     # parity of X^n.
     assert [b.dim for b in h.blocks] == dims
     assert max(dims) <= hamiltonians.BIN_DIM or h.n_qubits > 8
+
+
+@st.composite
+def exchange_sums(draw):
+    """Isotropic exchange J (XX + YY + ZZ) on random pairs of up to 8
+    qubits, one run per pair: sites can be idle and the pairs can fall
+    apart into pieces."""
+    n = draw(st.integers(2, 8))
+    site = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(site, site, st.floats(-2.0, 2.0)), min_size=1,
+                          max_size=2 * n))
+    bonds = [(i, j, c) for i, j, c in pairs if i != j] or [(0, 1, 1.0)]
+    return HamiltonianSum(n, tuple(PauliTerm(n, c, {i: a, j: a})
+                                   for i, j, c in bonds for a in "XYZ"))
+
+
+def _largest_error(h, blocks, m):
+    scheme = solve_order_condition(power_schedule(m), m)
+    return max(
+        spectral_norm(mpf_evolve(b, 0.9, 2, scheme) - exact_evolution(b, 0.9))
+        for b in blocks
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(exchange_sums(), st.integers(1, 3))
+def test_error_blocks_of_spin_invariant_sums_keep_the_largest_error(h, m):
+    # every run commutes with total spin, so the blocks reaching popcount
+    # floor(n/2) hold the error on every total spin; a sum of commuting
+    # bonds has an error at roundoff, 1e-14 absolute
+    assert h.error_blocks is not h.blocks
+    assert sum(b.dim for b in h.error_blocks) <= sum(b.dim for b in h.blocks)
+    whole = _largest_error(h, h.blocks, m)
+    assert abs(_largest_error(h, h.error_blocks, m) - whole) <= 1e-14 + 1e-12 * whole
+
+
+def _heisenberg_with(n, extra=(), delta=1.0, yy=1.0):
+    """heisenberg_1d(n) with ZZ scaled by delta, YY by yy, extra terms
+    appended."""
+    scale = {"X": 1.0, "Y": yy, "Z": delta}
+    terms = [PauliTerm(n, scale[t.paulis[min(t.paulis)]], t.paulis)
+             for t in heisenberg_1d(n).terms]
+    return HamiltonianSum(n, (*terms, *extra))
+
+
+@pytest.mark.parametrize("h", [
+    _heisenberg_with(6, extra=[PauliTerm(6, 0.5, {2: "Z"})]),
+    _heisenberg_with(6, extra=[PauliTerm(6, 0.5, {q: "X"}) for q in range(6)]),
+    _heisenberg_with(6, delta=0.5),
+    _heisenberg_with(5, yy=math.nextafter(1.0, 2.0)),
+    power_law_lattice(4, 1, 2.0),
+    HamiltonianSum(8, tuple(PauliTerm(8, 1.0, {q: "Z"}) for q in range(8))),
+], ids=["z-field", "x-field", "xxz", "unequal-couplings", "power-law", "commuting8"])
+def test_error_blocks_are_the_blocks_without_spin_symmetry(h):
+    assert h.error_blocks is h.blocks
+
+
+@pytest.mark.parametrize("n, dims", [
+    (4, [6]), (5, [10]), (6, [20]), (7, [35]), (8, [35, 35]), (9, [126]),
+    (10, [126, 126]),
+])
+def test_chain_error_blocks(n, dims):
+    # popcount floor(n/2) only, split by the parity of X^n for even n and
+    # packed below MIN_SECTOR_DIM
+    assert [b.dim for b in heisenberg_1d(n).error_blocks] == dims
+    assert [b.dim for b in heisenberg_1d(n, periodic=False).error_blocks] == dims
