@@ -72,12 +72,13 @@ def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
     The product of the exponentials is a matrix power series in a formal
     scale (W_i -> t W_i) truncated at degree K, and log(I + X) is the
     truncated sum_{m<=K} (-1)^(m+1) X^m / m: O(L K^2 + K^3) matmuls for
-    every degree at once (Casas & Murua, J. Math. Phys. 50 (2009)).'''
+    every degree at once (Casas & Murua, J. Math. Phys. 50 (2009)). L
+    counts the letters, so the symmetric formula passes one per fused run
+    (_symmetric_word), not one per stage.'''
     dim = letters[0].shape[0]
     terms = np.zeros((big_k + 1, dim, dim), dtype=np.complex128)
-    distinct = list({id(w): w for w in letters}.values())
     if all(
-        np.array_equal(a @ b, b @ a) for a, b in itertools.combinations(distinct, 2)
+        np.array_equal(a @ b, b @ a) for a, b in itertools.combinations(letters, 2)
     ):
         # exact zeros above degree 1; the series would leave rounding there
         terms[1] = sum(letters)
@@ -105,11 +106,16 @@ def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
 
 
 def _symmetric_word(h: HamiltonianSum, s: float) -> list:
-    '''Letters of the order-2 stage sequence, scaled by -i s; mirror stages
-    share one array.'''
+    '''Letters of the order-2 stage sequence scaled by -i s, one per
+    maximal group of consecutive stages on one run (HamiltonianSum.runs):
+    the sum of the group's scaled terms. A run's terms commute, so the
+    group's exponentials are the letter's, and each degree of the
+    truncated series is unchanged (binomial theorem). The two middle
+    groups are one letter; mirror letters are separate, equal arrays.'''
     mats = h.term_matrices()
-    scaled = [(-1j * s * 0.5) * m for m in mats]
-    return [scaled[g] for g, _ in build_spec(2, h.gamma).stages]
+    run_of = {t: i for i, run in enumerate(h.runs) for t in run}
+    stages = itertools.groupby(build_spec(2, h.gamma).stages, lambda g_c: run_of[g_c[0]])
+    return [sum((-1j * s * c) * mats[g] for g, c in group) for _, group in stages]
 
 
 def symmetric_bch_terms(

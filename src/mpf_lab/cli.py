@@ -20,6 +20,7 @@ runs diff clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,7 +61,9 @@ _JSON_TYPES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="mpf-lab",
         description="Numerical laboratory for multi-product formula simulation.",

@@ -56,6 +56,7 @@ class PauliTerm:
     n_qubits: int
     coefficient: float
     paulis: dict[int, str]
+    _masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.coefficient):
@@ -66,6 +67,7 @@ class PauliTerm:
             if letter not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown Pauli letter {letter!r}")
         object.__setattr__(self, "paulis", dict(self.paulis))
+        object.__setattr__(self, "_masks", pauli.masks_from_sites(self.paulis))
 
     @property
     def norm(self) -> float:
@@ -73,7 +75,8 @@ class PauliTerm:
         return abs(self.coefficient)
 
     def masks(self) -> tuple[int, int]:
-        return pauli.masks_from_sites(self.paulis)
+        """The (x, z) masks, computed once at construction."""
+        return self._masks
 
     def dense(self) -> np.ndarray:
         x, z = self.masks()

@@ -93,6 +93,10 @@ DENSE_KEY_BITS = 20
 # Gamma * |frontier|
 _FOLD = 1 << 18
 
+# a step moves the frontier by as many terms at once as keep the batch's
+# anticommutation table within this many entries
+_BATCH = 1 << 14
+
 
 def _fold(parts: list) -> tuple:
     """Sorted distinct keys of the (keys, weights) parts, each with the
@@ -102,9 +106,26 @@ def _fold(parts: list) -> tuple:
 
 
 def _anticommuting(keys: np.ndarray, swap) -> np.ndarray:
-    """Bool view of which keys anticommute with the term whose swapped key
-    is swap: odd popcount of key & swap, a 0/1 uint8 array read as bool."""
+    """Bool view of which keys anticommute with the terms whose swapped
+    keys are swap: odd popcount of key & swap, a 0/1 uint8 array read as
+    bool."""
     return (np.bitwise_count(keys & swap) & 1).view(bool)
+
+
+def _moves(keys, weights, term_keys, swapped, twice_norms):
+    """(moved keys, weights) of each batch of terms acting on the frontier
+    (keys, weights), term-major: a term t moves k to k ^ term_keys[t] with
+    weight twice_norms[t] * w(k) where it anticommutes with k."""
+    batch = max(1, _BATCH // max(1, keys.size))
+    for start in range(0, len(term_keys), batch):
+        terms = slice(start, start + batch)
+        # flat indices into the batch's (term, key) table: 2-D nonzero and
+        # boolean masks cost several times more
+        hit = np.flatnonzero(_anticommuting(keys, swapped[terms, None]))
+        yield (
+            (keys ^ term_keys[terms, None]).take(hit),
+            (twice_norms[terms, None] * weights).take(hit),
+        )
 
 
 def _reached(acc: np.ndarray) -> tuple:
@@ -131,13 +152,14 @@ def commutator_weight_table(
     Strings are keys (x << n) | z, so n_qubits <= MAX_QUBITS. A level is
     an ascending key array with its weights; a step lets every term act
     on the frontier strings it anticommutes with (odd popcount of
-    key & ((z_g << n) | x_g)). Up to DENSE_KEY_BITS key bits the moved
-    weights are added into a 4^n array indexed by key: one term moves
-    distinct keys, XOR by its key being a bijection, so a fancy-index +=
-    is exact. Above it the moved keys are sorted and equal ones summed
+    key & ((z_g << n) | x_g)), a batch of terms per numpy pass while the
+    batch times the frontier size is at most _BATCH (_moves), the moved
+    pairs in term-major order. Up to DENSE_KEY_BITS key bits they are
+    added into a 4^n array indexed by key with np.add.at, which adds in
+    index order. Above it the moved keys are sorted and equal ones summed
     (_fold). Both paths add each key's contributions in term order onto
-    zero and keep the strings whose sum is zero, so they hold equal
-    frontiers.
+    zero, whatever the batch size, and keep the strings whose sum is zero,
+    so they hold equal frontiers.
 
     The deepest level is summed, not built: its total is
     sum_k w(k) * g(k) over the frontier before it, g(k) the 2|c_t| of the
@@ -161,6 +183,7 @@ def commutator_weight_table(
     term_keys = np.array([(x << n_qubits) | z for x, z in strings], dtype=dtype)
     swapped = np.array([(z << n_qubits) | x for x, z in strings], dtype=dtype)
     norms = np.abs(np.asarray(coefficients, dtype=np.float64))
+    twice = 2.0 * norms
     if dense:
         acc = np.full(1 << 2 * n_qubits, -0.0)
         np.add.at(acc, term_keys, norms)  # depth 1 can repeat a string
@@ -175,22 +198,21 @@ def commutator_weight_table(
             break
         if len(alphas) == depth - 1:  # the deepest level: summed, not built
             g = np.zeros(keys.size)
-            for swap, norm in zip(swapped, norms):
-                g += (2.0 * norm) * _anticommuting(keys, swap)
+            for swap, t in zip(swapped, twice):
+                g += t * _anticommuting(keys, swap)
             alphas.append(float((weights * g).sum()))
             break
+        moves = _moves(keys, weights, term_keys, swapped, twice)
         if dense:
             acc.fill(-0.0)
-            for key, swap, norm in zip(term_keys, swapped, norms):
-                hit = np.flatnonzero(_anticommuting(keys, swap))
-                acc[keys[hit] ^ key] += 2.0 * norm * weights[hit]
+            for moved, added in moves:
+                np.add.at(acc, moved, added)
             keys, weights = _reached(acc)
         else:
             parts, pending = [], 0
-            for key, swap, norm in zip(term_keys, swapped, norms):
-                hit = np.flatnonzero(_anticommuting(keys, swap))
-                parts.append((keys[hit] ^ key, 2.0 * norm * weights[hit]))
-                pending += hit.size
+            for part in moves:
+                parts.append(part)
+                pending += part[0].size
                 if pending > _FOLD:
                     parts, pending = [_fold(parts)], 0
             keys, weights = _fold(parts)

@@ -11,13 +11,14 @@ from mpf_lab.bch import (
     ConvergenceRiskError,
     DepthCapError,
     _log_product_terms,
+    _symmetric_word,
     dyson_expansion,
     effective_generator,
     symmetric_bch_term,
     symmetric_bch_terms,
 )
 from mpf_lab.formulas import build_spec, evaluate_spec
-from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d, power_law_lattice
 from mpf_lab.operators import (
     DimMismatchError,
     NonSquareError,
@@ -197,6 +198,72 @@ def test_log_unitary_degenerate_heisenberg_spectra(n, distinct, s):
     assert len(np.unique(np.round(np.linalg.eigvalsh(h), 8))) == distinct
     log = _log_unitary(scipy.linalg.expm(-1j * s * h))
     assert np.max(np.abs(log + 1j * s * h)) <= 1e-12
+
+
+def _per_stage_word(h, s):
+    """The letters of the order-2 stage sequence, one per stage, scaled by
+    -i s, mirror stages sharing one array: the oracle of the fused word."""
+    scaled = [(-1j * s * 0.5) * m for m in h.term_matrices()]
+    return [scaled[g] for g, _ in build_spec(2, h.gamma).stages]
+
+
+def _xxz(n, delta, periodic):
+    bonds = range(n) if periodic else range(n - 1)
+    terms = [
+        PauliTerm(n, c, {j: letter, (j + 1) % n: letter})
+        for j in bonds
+        for letter, c in (("X", 1.0), ("Y", 1.0), ("Z", delta))
+    ]
+    return HamiltonianSum(n, tuple(terms))
+
+
+_random_terms = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.builds(
+            PauliTerm,
+            st.just(n),
+            st.floats(-2.0, 2.0),
+            st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1),
+        ),
+        min_size=1,
+        max_size=6,
+    ).map(lambda terms: HamiltonianSum(n, tuple(terms)))
+)
+
+_models = st.one_of(
+    st.builds(heisenberg_1d, st.integers(2, 4), st.booleans()),
+    st.builds(_xxz, st.integers(2, 4), st.floats(-2.0, 2.0), st.booleans()),
+    # all-to-all, random letters: runs of one term
+    st.builds(power_law_lattice, st.integers(2, 4), st.just(1), st.floats(0.5, 3.0),
+              st.integers(0, 99)),
+    _random_terms,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_models, st.floats(0.005, 0.3))
+def test_fused_word_matches_the_per_stage_word(h, s):
+    # a run's terms commute, so fusing its stages into one letter leaves each
+    # degree unchanged up to rounding; degree-k products of the letters are
+    # of size (sum ||W||)^k before they cancel, the scale of that rounding
+    stages = _per_stage_word(h, s)
+    fused = _symmetric_word(h, s)
+    assert len(fused) <= len(stages)
+    big_k = 5
+    want = _log_product_terms(stages, big_k)
+    got = _log_product_terms(fused, big_k)
+    scale = sum(spectral_norm(w) for w in stages)
+    for k in range(big_k + 1):
+        assert spectral_norm(got[k] - want[k]) <= 1e-12 * scale**k, k
+
+
+@pytest.mark.parametrize("n, letters, stages", [(3, 5, 18), (4, 7, 24)])
+def test_fused_word_has_one_letter_per_run_group(n, letters, stages):
+    # each run is a bond's XX, YY, ZZ; the two middle groups are one letter
+    h = heisenberg_1d(n)
+    assert len(h.runs) == n
+    assert len(_per_stage_word(h, 0.05)) == stages
+    assert len(_symmetric_word(h, 0.05)) == letters
 
 
 def test_two_term_check_trivial_cases():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BAD_MODEL_FILES
-from mpf_lab import bch, mpf, pauli
+from mpf_lab import bch, cli, mpf, pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table
 from mpf_lab.hamiltonians import (
@@ -510,6 +510,25 @@ class TestConfigAndIo:
         argv = ("convergence", "--model", "heisenberg", "--n", "3",
                 "--dt-grid", "0.2,0.1,0.05,0.025")
         assert run(*argv)[1] == run(*argv)[1]
+
+    def test_one_parser_serves_every_call(self, run, capsys):
+        assert cli._build_parser() is cli._build_parser()
+
+        def refused(argv):  # argparse exits; returns (code, stdout, stderr)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            return exc.value.code, *capsys.readouterr()
+
+        help_before = refused(["bch-verify", "--help"])
+        assert help_before[0] == 0 and "--k-max" in help_before[1]
+        argv = ("bch-verify", "--model", "heisenberg", "--n", "3", "--k-max", "5")
+        first = run(*argv)
+        assert first[0] == 0
+        assert refused(["scheme", "--m", "2", "--seed", "3"])[0] == 2
+        assert run("scheme")[0] == 2  # the handler's usage error
+        assert run("benchmark", "--n-list", "3,4,5", "--m-list", "1", "--eps", "0.1")[0] == 0
+        assert run(*argv) == first
+        assert refused(["bch-verify", "--help"]) == help_before
 
     @pytest.mark.parametrize("argv", [
         ("commutators", "--model", "heisenberg", "--n", "4"),

@@ -5,11 +5,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import anticommute, kron_string
 from mpf_lab import pauli
-from mpf_lab.hamiltonians import heisenberg_1d
+from mpf_lab.hamiltonians import heisenberg_1d, power_law_lattice
 from mpf_lab.pauli import (
     PAULI_MATRICES,
     dense_string,
@@ -145,6 +145,71 @@ def test_deepest_level_sum_matches_the_built_level(spec, depth, budget, path):
     # a relative bound does not hold among subnormals, hence the floor
     tiny = np.finfo(np.float64).tiny
     assert abs(summed[-1] - built[k - 1]) <= 1e-14 * abs(built[k - 1]) + tiny
+
+
+def _power_law(n, alpha, seed):
+    h = power_law_lattice(n, 1, alpha, seed)
+    return n, [(t.masks(), t.coefficient) for t in h.terms]
+
+
+# the weighted sums; all-to-all power-law models, where many terms move
+# strings onto one key with weights that round; or strings of Z letters
+# only, a commuting model, whose frontier is empty after depth 1
+batch_models = st.one_of(
+    weighted_sums,
+    st.builds(_power_law, st.integers(2, 4), st.floats(0.5, 3.0), st.integers(0, 99)),
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.tuples(st.just(0), st.integers(0, 2**n - 1)), st.floats(-2.0, 2.0)
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    ),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    batch_models,
+    st.integers(1, 8),
+    st.sampled_from([1, 10, 100, 1000, 10**9]),
+    st.sampled_from([1, 5, 1 << 18]),
+)
+@example(_power_law(3, 0.7, 2), 7, 10**9, 1 << 18)
+def test_pauli_dp_is_independent_of_the_batch_size(spec, depth, budget, fold):
+    # a batch adds its moved pairs term-major, so each key still sums its
+    # contributions in term order: every batch size gives the same list
+    n, terms = spec
+    strings = [s for s, _ in terms]
+    coefficients = [c for _, c in terms]
+    tables = []
+    for path in ("dense", "fold"):
+        for batch in (1, 3, 1 << 14, 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pauli, "_BATCH", batch)
+                mp.setattr(pauli, "_FOLD", fold)
+                tables.append(_table(path, strings, coefficients, depth, n, budget))
+    assert all(table == tables[0] for table in tables)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 1 << 14, 1 << 30])
+@pytest.mark.parametrize("path", ["dense", "fold"])
+def test_zero_weight_strings_stay_in_the_frontier(monkeypatch, path, batch):
+    monkeypatch.setattr(pauli, "_BATCH", batch)
+    # 0 * X + Z on one qubit: depth 1 holds X at weight 0 and Z; both move to
+    # Y at weight 0, which is kept and charged: steps cost 2 * 2, then 2 * 1
+    strings, coefficients = [(1, 0), (0, 1)], [0.0, 1.0]
+    for budget, want in ((3, [1.0]), (5, [1.0, 0.0]), (6, [1.0, 0.0, 0.0])):
+        assert _table(path, strings, coefficients, 3, 1, budget) == want
+    # Z letters commute: depth 2 is empty and the steps after it are free
+    strings, coefficients = [(0, 1), (0, 2), (0, 3)], [1.0, 1.0, 0.5]
+    for budget, want in ((8, [2.5]), (9, [2.5, 0.0, 0.0, 0.0])):
+        assert _table(path, strings, coefficients, 4, 2, budget) == want
 
 
 @pytest.mark.parametrize("path, builder", [("dense", "_reached"), ("fold", "_fold")])
