@@ -97,6 +97,11 @@ _FOLD = 1 << 18
 # anticommutation table within this many entries
 _BATCH = 1 << 14
 
+# the deepest level is summed by one matrix product over a 2^n x 2^n array
+# of the frontier's weights once the frontier fills at least this share of
+# the 4^n strings; a sparser one keeps the loop over terms
+_PRODUCT_FILL = 0.25
+
 
 def _fold(parts: list) -> tuple:
     """Sorted distinct keys of the (keys, weights) parts, each with the
@@ -126,6 +131,38 @@ def _moves(keys, weights, term_keys, swapped, twice_norms):
             (keys ^ term_keys[terms, None]).take(hit),
             (twice_norms[terms, None] * weights).take(hit),
         )
+
+
+def _summed_level(keys, weights, swapped, twice_norms, n_qubits):
+    """Total weight of the level after the frontier (keys, weights),
+    sum_k w(k) * sum_t twice_norms[t] * [k anticommutes with t], without
+    building it.
+
+    With k = (x << n) | z and term t's swapped key (z_t << n) | x_t, k
+    anticommutes with t where a_t(x) = popcount(x & z_t) and b_t(z) =
+    popcount(z & x_t) differ in parity. On a frontier filling at least
+    _PRODUCT_FILL of 4^n its weights are laid out as W[x, z], and
+    V = W @ [1 - B | B], B[z, t] = b_t(z), holds for each row x the weight
+    with b_t even and with b_t odd: term t's sum takes the odd column where
+    a_t(x) is even and the even column where it is odd. Every addend is
+    non-negative, so nothing cancels. A sparser frontier adds g(k), the
+    2|c_t| of the terms anticommuting with k in term order, and sums
+    w(k) * g(k) by numpy's pairwise sum."""
+    if keys.size < _PRODUCT_FILL * 4**n_qubits:
+        g = np.zeros(keys.size)
+        for swap, t in zip(swapped, twice_norms):
+            g += t * _anticommuting(keys, swap)
+        return float((weights * g).sum())
+    side = 1 << n_qubits
+    rows = np.arange(side, dtype=swapped.dtype)[:, None]
+    frontier = np.zeros(side * side)
+    frontier[keys] = weights
+    odd_b = (np.bitwise_count(rows & (swapped & (side - 1))) & 1).astype(np.float64)
+    v = frontier.reshape(side, side) @ np.hstack([1.0 - odd_b, odd_b])
+    odd_a = (np.bitwise_count(rows & (swapped >> n_qubits)) & 1).view(bool)
+    gamma = swapped.size
+    per_term = np.where(odd_a, v[:, :gamma], v[:, gamma:]).sum(axis=0)
+    return float((per_term * twice_norms).sum())
 
 
 def _reached(acc: np.ndarray) -> tuple:
@@ -161,14 +198,20 @@ def commutator_weight_table(
     zero, whatever the batch size, and keep the strings whose sum is zero,
     so they hold equal frontiers.
 
-    The deepest level is summed, not built: its total is
-    sum_k w(k) * g(k) over the frontier before it, g(k) the 2|c_t| of the
-    terms t anticommuting with k added in term order. Both paths sum it
-    from their equal frontiers by numpy's pairwise sum (no BLAS), so they
-    still return equal lists. It can differ from the sum of the built
-    level in the last bits.
+    The deepest level is summed, not built (_summed_level): its total is
+    sum_t 2|c_t| * sum_k w(k) [k anticommutes with t] over the frontier
+    before it. A frontier filling at least _PRODUCT_FILL of the 4^n
+    strings gives every term's inner sum from one BLAS product of its
+    2^n x 2^n weight array with a 2^n x 2 Gamma 0/1 table; a sparser one
+    loops over the terms. Every addend is non-negative, so neither way
+    cancels. The gate reads the frontier and n only, so both paths take
+    the same branch on their equal frontiers and still return equal
+    lists. The total can differ from the sum of the built level in the
+    last bits.
 
-    A step costs Gamma * |frontier| work units, the deepest one included.
+    A step costs Gamma * |frontier| work units, the deepest one included
+    (the product's 2 Gamma * 4^n multiply-adds are at most
+    8 Gamma * |frontier| under its gate).
     The DP stops before the step that would take its total past the
     budget, so the returned list can be shorter than depth; depth 1 is
     free.
@@ -197,10 +240,7 @@ def commutator_weight_table(
         if spent > budget:
             break
         if len(alphas) == depth - 1:  # the deepest level: summed, not built
-            g = np.zeros(keys.size)
-            for swap, t in zip(swapped, twice):
-                g += t * _anticommuting(keys, swap)
-            alphas.append(float((weights * g).sum()))
+            alphas.append(_summed_level(keys, weights, swapped, twice, n_qubits))
             break
         moves = _moves(keys, weights, term_keys, swapped, twice)
         if dense:

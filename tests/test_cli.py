@@ -542,6 +542,9 @@ class TestConfigAndIo:
         # the deepest alpha of a power-law model is not an integer
         ("commutators", "--model", "power_law", "--n", "6", "--d", "1",
          "--alpha", "2.0", "--seed", "7"),
+        # a deepest frontier filling 60 % of 4^9, summed by a BLAS product
+        ("commutators", "--model", "power_law", "--n", "9", "--d", "1",
+         "--alpha", "2.0", "--seed", "3", "--j-cap", "6", "--budget", "1000000000"),
         # the benchmark's chain-scaling call: every block is of dim <= 64
         ("benchmark", "--n-list", "4,6,8", "--m-list", "1,2,3", "--eps", "0.001",
          "--format", "json"),

@@ -197,6 +197,60 @@ def test_pauli_dp_is_independent_of_the_batch_size(spec, depth, budget, fold):
     assert all(table == tables[0] for table in tables)
 
 
+def _deepest_fills(monkeypatch, n):
+    """Spy on pauli._summed_level: the list it appends each summed
+    frontier's share of the 4^n strings to."""
+    fills = []
+    original = pauli._summed_level
+
+    def spy(keys, *args):
+        fills.append(keys.size / 4**n)
+        return original(keys, *args)
+
+    monkeypatch.setattr(pauli, "_summed_level", spy)
+    return fills
+
+
+@settings(deadline=None, max_examples=150)
+@given(batch_models, st.integers(2, 8), st.sampled_from(["dense", "fold"]))
+# the deepest frontier holds 16 of the 4^3 strings: exactly on the gate
+@example(_power_law(3, 0.7, 1), 7, "dense")
+@example(_power_law(3, 0.7, 1), 7, "fold")
+def test_product_summed_level_matches_the_term_loop(spec, depth, path):
+    n, terms = spec
+    strings = [s for s, _ in terms]
+    coefficients = [c for _, c in terms]
+    gate = pauli._PRODUCT_FILL
+    with pytest.MonkeyPatch.context() as mp:
+        fills = _deepest_fills(mp, n)
+        default = _table(path, strings, coefficients, depth, n, 10**9)
+        mp.setattr(pauli, "_PRODUCT_FILL", 0.0)  # every frontier
+        product = _table(path, strings, coefficients, depth, n, 10**9)
+        mp.setattr(pauli, "_PRODUCT_FILL", 2.0)  # none
+        loop = _table(path, strings, coefficients, depth, n, 10**9)
+    assert len(fills) == 3 and len(product) == len(loop) == depth
+    assert product[:-1] == loop[:-1]
+    # both sum non-negative addends; the floor as for the built level
+    tiny = np.finfo(np.float64).tiny
+    assert abs(product[-1] - loop[-1]) <= 1e-14 * abs(loop[-1]) + tiny
+    # the product from a quarter of the strings on, the loop below
+    assert default == (product if fills[0] >= gate else loop)
+
+
+@pytest.mark.parametrize("n, alpha, seed, depth", [(4, 1.0, 0, 6), (6, 2.0, 3, 7)])
+def test_dense_and_fold_paths_both_take_the_product(monkeypatch, n, alpha, seed, depth):
+    # all-to-all frontiers fill 35 % of 4^4 and 69 % of 4^6 before the
+    # deepest level: both paths sum it by the product, to equal lists
+    _, terms = _power_law(n, alpha, seed)
+    strings = [s for s, _ in terms]
+    coefficients = [c for _, c in terms]
+    fills = _deepest_fills(monkeypatch, n)
+    dense = _table("dense", strings, coefficients, depth, n, 10**9)
+    folded = _table("fold", strings, coefficients, depth, n, 10**9)
+    assert len(fills) == 2 and fills[0] == fills[1] >= pauli._PRODUCT_FILL
+    assert dense == folded and len(dense) == depth
+
+
 @pytest.mark.parametrize("batch", [1, 3, 1 << 14, 1 << 30])
 @pytest.mark.parametrize("path", ["dense", "fold"])
 def test_zero_weight_strings_stay_in_the_frontier(monkeypatch, path, batch):
