@@ -9,8 +9,9 @@ The blocks measured are HamiltonianSum.error_blocks. When every run's
 generator commutes with sum_i X_i and sum_i Z_i (checked exactly), and so
 with total spin, only the blocks reaching the states of popcount floor(n/2)
 are kept: those states hold the error on every total spin. Otherwise all
-blocks are measured. The error paths form a full-space product only for a
-model whose one block is the whole space.
+blocks are measured. A model with no smaller block has one, the whole
+space (HamiltonianSum.whole), and its products are formed on it by the same
+kernel.
 
 A convergence study fits the one-step error against the step size on a
 log-log scale; given no grid it picks its own, one measurement per step.
@@ -44,7 +45,7 @@ from .commutators import (
     mu_m,
 )
 from .formulas import error_series
-from .hamiltonians import HamiltonianSum, heisenberg_1d
+from .hamiltonians import Block, HamiltonianSum, heisenberg_1d
 from .mpf import (
     MpfScheme,
     mpf_evolve,
@@ -145,10 +146,12 @@ class ScalingResult:
             raise ValueError("fitted exponent must be finite")
 
 
-def exact_evolution(h: HamiltonianSum, t: float) -> np.ndarray:
-    """exp(-iHt) from the model's Hermitian eigendecomposition
-    (HamiltonianSum.eigh, computed once per model)."""
-    return hermitian_evolution(*h.eigh, t)
+def exact_evolution(h: HamiltonianSum | Block, t: float) -> np.ndarray:
+    """exp(-iHt) on a Block from its Hermitian eigendecomposition
+    (Block.eigh, computed once per block); a HamiltonianSum stands for its
+    whole space (HamiltonianSum.whole)."""
+    block = h.whole if isinstance(h, HamiltonianSum) else h
+    return hermitian_evolution(*block.eigh, t)
 
 
 def _block_targets(h: HamiltonianSum, t: float) -> tuple:

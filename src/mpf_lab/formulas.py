@@ -5,8 +5,8 @@ unrolled at construction; evaluation walks the list left to right, matching
 the operator-product notation. Flat lists make the stage-count invariant
 checkable and keep evaluation order deterministic.
 
-Evaluation (evaluate_spec) sweeps a whole space with a free strided
-view per stage, and an invariant block (HamiltonianSum.blocks) with one
+Evaluation (evaluate_spec) sweeps one Block: an invariant block
+(HamiltonianSum.blocks) or the whole space (HamiltonianSum.whole), with one
 gather per run of commuting stages; a palindrome of real symmetric stages
 is swept over its first half only.
 
@@ -17,12 +17,11 @@ mpf.solve_order_condition([1], 1, q), evaluated by mpf.mpf_operator.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import Block
+from .hamiltonians import Block, HamiltonianSum
 
 __all__ = [
     "ProductFormulaSpec",
@@ -88,48 +87,34 @@ def build_spec(order: int, gamma: int) -> ProductFormulaSpec:
 
 
 def evaluate_spec(h, t: float, spec: ProductFormulaSpec) -> np.ndarray:
-    """Dense product over the stage list, left to right, on the whole
-    space of a HamiltonianSum or on one of its Blocks, built into the
-    transposed product y. On the whole space a stage exp(-i theta P),
-    theta = fraction * t * coefficient, is y <- cos(theta) y -
-    i sin(theta) phases * y[flip], y viewed with shape (2,)*n + (dim,)
-    and y[flip] the view with the bit axes of P's x mask reversed
-    (HamiltonianSum.stage_actions). On a block each run of stages on one
-    run of terms is one gate y <- alpha * y + beta * y[idx] (_gates).
+    """Dense product over the stage list, left to right, on a Block (a
+    HamiltonianSum stands for its whole space, HamiltonianSum.whole), built
+    into the transposed product y: each run of stages on one run of terms
+    is one gate y <- alpha * y + beta * y[idx] (_gates), cached on the
+    block per stage list.
 
     When every term is real symmetric (HamiltonianSum.real_symmetric), so
     is every stage, and an even-length palindrome B + reversed(B) has the
     product G G^T, G the product over B: only B is swept, into y = G^T,
     and the result is y^T y. Any other list is swept whole.
     """
+    block = h.whole if isinstance(h, HamiltonianSum) else h
     stages = spec.stages
     half = len(stages) // 2
-    mirrored = h.real_symmetric and stages[half:] == stages[:half][::-1]
+    mirrored = block.real_symmetric and stages[half:] == stages[:half][::-1]
     sweep = stages[:half] if mirrored else stages
-    y = np.eye(h.dim, dtype=np.complex128)
-    if isinstance(h, Block):
-        if sweep not in h.gates:
-            h.gates[sweep] = _gates(h, sweep)
-        d, omega, v, idx = h.gates[sweep]
-        phase, angle = np.exp((-1j * t) * d), t * omega
-        alpha, beta = phase * np.cos(angle), (-1j * phase) * np.sin(angle) * v
-        buf = np.empty_like(y)
-        for a, b, i in zip(alpha[..., None], beta[..., None], idx):
-            y.take(i, axis=0, out=buf, mode="clip")
-            buf *= b
-            y *= a
-            y += buf
-    else:
-        rows = y.reshape((2,) * h.n_qubits + (h.dim,))
-        buf = np.empty_like(rows)
-        for g, c in sweep:
-            theta = c * t * h.terms[g].coefficient
-            if theta == 0.0:
-                continue
-            flip, phases = h.stage_actions[g]
-            np.multiply(rows[flip], (-1j * math.sin(theta)) * phases, out=buf)
-            rows *= math.cos(theta)
-            rows += buf
+    if sweep not in block.gates:
+        block.gates[sweep] = _gates(block, sweep)
+    d, omega, v, idx = block.gates[sweep]
+    phase, angle = np.exp((-1j * t) * d), t * omega
+    alpha, beta = phase * np.cos(angle), (-1j * phase) * np.sin(angle) * v
+    y = np.eye(block.dim, dtype=np.complex128)
+    buf = np.empty_like(y)
+    for a, b, i in zip(alpha[..., None], beta[..., None], idx):
+        y.take(i, axis=0, out=buf, mode="clip")
+        buf *= b
+        y *= a
+        y += buf
     return y.T @ y if mirrored else np.ascontiguousarray(y.T)
 
 
@@ -143,7 +128,7 @@ def _gates(block: Block, stages: tuple) -> tuple:
     alpha = e^(-i t w d) cos(t w |o|) and beta = -i e^(-i t w d)
     sin(t w |o|) o / |o| (0 where |o| is 0 or subnormal).
     """
-    runs = block.model.runs
+    runs = block.runs
     run_of = {t: k for k, run in enumerate(runs) for t in run}
     ks, ws = [], []
     for k, group in itertools.groupby(stages, key=lambda stage: run_of[stage[0]]):

@@ -35,7 +35,7 @@ __all__ = [
 # (HamiltonianSum.blocks). Best of 21 on 2 vCPUs (numpy 2.4, OpenBLAS) at
 # 32 / 16 / 8 / 1, measured with the error blocks: `chain-scaling` 35 / 31 / 33 /
 # 35 ms, within noise; `convergence --model commuting --n 8` 12 / 13 / 20 / 99 ms.
-MIN_SECTOR_DIM = 32
+MIN_BLOCK_DIM = 32
 # A complex SVD keeps its bits under 1 and 2 OpenBLAS threads up to dim 65 only
 # (numpy 2.4), so no bin is larger than this.
 BIN_DIM = 64
@@ -91,10 +91,10 @@ class HamiltonianSum:
     part of the model file format.
 
     The sum also owns every piece of per-model data the kernels reuse:
-    the terms' stage actions, whether every term is real symmetric, the
-    eigendecomposition of the dense sum, the runs of terms fused into one
-    gate, the invariant blocks and the Pauli DP runs. Each is built on
-    first use and lives as long as the model does.
+    whether every term is real symmetric, the runs of terms fused into one
+    gate, the whole space as a Block (with its phase table, fused gates and
+    eigendecomposition), the invariant blocks and the Pauli DP runs. Each
+    is built on first use and lives as long as the model does.
     """
 
     n_qubits: int
@@ -131,23 +131,12 @@ class HamiltonianSum:
         return 2**self.n_qubits
 
     @cached_property
-    def stage_actions(self) -> tuple:
-        """(flip, phases) of every term's Pauli string P|b> = phases[b]
-        |b ^ x> (pauli.string_action), in term order, for the view of a
-        product's rows with shape (2,)*n + (dim,), bit k on axis n - 1 - k
-        (formulas.evaluate_spec): flip reverses the axes of the bits x sets,
-        which maps row b to row b ^ x, and phases has the view's shape."""
-        n = self.n_qubits
-        actions = []
-        for t in self.terms:
-            x, z = t.masks()
-            _, phases = pauli.string_action(x, z, n)
-            flip = tuple(
-                slice(None, None, -1) if x >> (n - 1 - axis) & 1 else slice(None)
-                for axis in range(n)
-            )
-            actions.append((flip, phases.reshape((2,) * n + (1,))))
-        return tuple(actions)
+    def whole(self) -> "Block":
+        """The whole space as one Block, each state its own basis vector. A
+        HamiltonianSum given to formulas.evaluate_spec or
+        experiments.exact_evolution stands for it."""
+        every = np.arange(self.dim)
+        return Block(self, every, every, np.ones(self.dim), 1)
 
     @cached_property
     def real_symmetric(self) -> bool:
@@ -157,11 +146,6 @@ class HamiltonianSum:
         (formulas.evaluate_spec)."""
         strings = (t.masks() for t in self.terms)
         return all((x & z).bit_count() % 2 == 0 for x, z in strings)
-
-    @cached_property
-    def eigh(self) -> tuple:
-        """(eigenvalues, eigenvectors) of the dense sum."""
-        return np.linalg.eigh(self.dense())
 
     @cached_property
     def runs(self) -> tuple:
@@ -180,13 +164,14 @@ class HamiltonianSum:
     @cached_property
     def blocks(self) -> tuple:
         """Subspaces every run keeps, so every fused run, formula, U_MP^r
-        and exp(-iHt) is block diagonal in them ((self,) if one is the
-        whole space): the components of the graph joining b and b ^ x
-        where a run with x mask x moves b. An X-string commuting with every
-        term (pauli.x_symmetries) maps a component onto one of equal norms;
-        the one with the smallest state is kept and split into the joint
-        eigenspaces of the X-strings mapping it onto itself. Blocks of equal
-        copies share a bin until it holds MIN_SECTOR_DIM states, within BIN_DIM."""
+        and exp(-iHt) is block diagonal in them (just self.whole if no
+        smaller one is kept): the components of the graph joining b and
+        b ^ x where a run with x mask x moves b. An X-string commuting with
+        every term (pauli.x_symmetries) maps a component onto one of equal
+        norms; the one with the smallest state is kept and split into the
+        joint eigenspaces of the X-strings mapping it onto itself. Blocks of
+        equal copies share a bin until it holds MIN_BLOCK_DIM states, within
+        BIN_DIM."""
         return self._blocks(False)
 
     @cached_property
@@ -216,7 +201,7 @@ class HamiltonianSum:
         """blocks, or with middle only the orbits holding a state of
         popcount floor(n/2) (error_blocks)."""
         dim, every = self.dim, np.arange(self.dim)
-        _, _, moved = Block(self, every, every, np.ones(dim), 1).generators
+        _, _, moved = self.whole.generators
         label, old = every, None
         while not np.array_equal(label, old):  # to the smallest joined state
             old, label = label, np.minimum(label, label[moved].min(axis=0))
@@ -240,7 +225,7 @@ class HamiltonianSum:
                 if g:
                     basis = [min(b, b ^ g) for b in basis] + [g]
             copies = len(group) >> len(basis)
-            if not basis or len(cs) >> len(basis) < MIN_SECTOR_DIM:
+            if not basis or len(cs) >> len(basis) < MIN_BLOCK_DIM:
                 # one part: no stabilizer, or its parts would be packed again
                 parts.append((cs, cs, np.arange(len(cs)), np.ones(len(cs)), copies))
                 continue
@@ -256,14 +241,14 @@ class HamiltonianSum:
         for part in parts:
             size, copies = len(part[1]), part[4]
             i = small.get(copies)
-            if i is None or sizes[i] >= MIN_SECTOR_DIM or sizes[i] + size > BIN_DIM:
+            if i is None or sizes[i] >= MIN_BLOCK_DIM or sizes[i] + size > BIN_DIM:
                 i = small[copies] = len(bins)
                 bins.append([])
                 sizes.append(0)
             bins[i].append(part)
             sizes[i] += size
         if sizes == [dim]:
-            return (self,)
+            return (self.whole,)
         blocks = []
         for packed in bins:
             pos, sign, states = np.full(dim, -1), np.ones(dim), np.zeros(0, dtype=int)
@@ -279,11 +264,12 @@ class HamiltonianSum:
 
     def dense(self) -> np.ndarray:
         """Dense matrix of the full sum, accumulated in term order from the
-        stage actions without forming any term matrix."""
+        whole space's phase table (Block.entries) without forming any term
+        matrix."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         cols = np.arange(self.dim)
-        for term, (_, phases) in zip(self.terms, self.stage_actions):
-            out[cols ^ term.masks()[0], cols] += term.coefficient * phases.ravel()
+        x = np.array([t.masks()[0] for t in self.terms])[:, None]
+        np.add.at(out, (cols ^ x, cols), self.whole.entries)
         return out
 
     def commutator_weights(self, depth: int, budget: int) -> list[float]:
@@ -311,28 +297,44 @@ class Block:
     """A subspace every run of a sum keeps (HamiltonianSum.blocks), with
     basis vector j = sum sign[c] |c> / sqrt(#) over the states c with
     pos[c] == j (-1 off the block), states[j] one of them. It stands for
-    copies blocks of equal norms wherever the error paths take a sum."""
+    copies blocks of equal norms wherever the error paths take a sum.
+
+    It keeps the model's terms and runs, not the model: the model caches
+    its blocks, and a reference back would make each model a cycle that
+    only the garbage collector frees."""
 
     def __init__(self, model: HamiltonianSum, states, pos, sign, copies: int) -> None:
-        self.model, self.states, self.pos, self.sign = model, states, pos, sign
+        self.terms, self.runs = model.terms, model.runs
+        self.real_symmetric = model.real_symmetric
+        self.states, self.pos, self.sign = states, pos, sign
         self.copies, self.gates = copies, {}  # gates: stage list -> fused gates
 
-    gamma = property(lambda self: self.model.gamma)
+    gamma = property(lambda self: len(self.terms))
     dim = property(lambda self: len(self.states))
-    real_symmetric = property(lambda self: self.model.real_symmetric)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The phase table, one row per term: H_t |c> = entries[t, j]
+        |c ^ x_t> for each state c = states[j], with entries[t, j] =
+        c_t i^y_t (-1)^popcount(c & z_t), H_t = c_t P_t and y_t the Y count
+        of P_t (pauli.string_action)."""
+        x, z = np.array([t.masks() for t in self.terms]).T
+        coefficients = np.array([t.coefficient for t in self.terms])
+        phase = coefficients * np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) % 4]
+        # the sign in float: bitwise_count is uint8, so 1 - 2 * (...) would wrap
+        signs = 1.0 - 2.0 * (np.bitwise_count(self.states & z[:, None]) & 1)
+        return phase[:, None] * signs
 
     @cached_property
     def generators(self) -> tuple:
         """(d, o, idx) of every run's generator H_k on the block, stacked
         over the runs: H_k v_j = d_j v_j + o_j v_idx[j], with o_j = 0 and
         idx[j] = j where H_k keeps v_j to itself."""
-        model, cols = self.model, np.arange(self.dim)
-        starts = [run[0] for run in model.runs]  # runs are consecutive
-        x = np.array([t.masks()[0] for t in model.terms])[:, None]
-        entries = np.array([t.coefficient * a[1].ravel()[self.states]
-                            for t, a in zip(model.terms, model.stage_actions)])
-        o = np.add.reduceat(np.where(x > 0, entries, 0), starts)
-        d = np.add.reduceat(np.where(x > 0, 0, entries.real), starts)
+        cols = np.arange(self.dim)
+        starts = [run[0] for run in self.runs]  # runs are consecutive
+        x = np.array([t.masks()[0] for t in self.terms])[:, None]
+        o = np.add.reduceat(np.where(x > 0, self.entries, 0), starts)
+        d = np.add.reduceat(np.where(x > 0, 0, self.entries.real), starts)
         partner = self.states ^ np.maximum.reduceat(x, starts)
         idx, o = self.pos[partner], o * self.sign[partner]
         d += np.where(idx == cols, o.real, 0.0)

@@ -40,8 +40,9 @@ def string_action(x: int, z: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray
     i^y (-1)^(b.z), y the number of Y letters (sites with both bits set).
 
     So the dense matrix is P[perm, b] = phases, and right multiplication
-    maps the rows of the transpose: (M @ P).T[b] = phases[b] * M.T[b ^ x],
-    the row map formulas.evaluate_spec applies.'''
+    maps the rows of the transpose: (M @ P).T[b] = phases[b] * M.T[b ^ x].
+    Block.entries holds the same phases, times the coefficients, on a
+    block's states.'''
     cols = np.arange(1 << n_qubits)
     signs = np.ones(cols.size, dtype=np.complex128)
     signs[np.bitwise_count(cols & z) & 1 == 1] = -1.0

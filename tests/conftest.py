@@ -63,7 +63,7 @@ def stage_product_times(h, t, spec, vectors):
 def block_basis(block):
     """The block's orthonormal basis vectors as the columns of a dense
     array, one row per state of the model's space."""
-    basis = np.zeros((block.model.dim, block.dim))
+    basis = np.zeros((block.pos.size, block.dim))
     inside = np.flatnonzero(block.pos >= 0)
     basis[inside, block.pos[inside]] = block.sign[inside]
     return basis / np.linalg.norm(basis, axis=0)

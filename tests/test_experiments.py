@@ -57,8 +57,8 @@ class TestExactEvolution:
         assert spectral_norm(u @ u.conj().T - np.eye(8)) <= 1e-12
 
     def test_model_retains_no_term_matrices(self):
-        # the model keeps its eigendecomposition (1 MiB of eigenvectors at
-        # n = 8) and the terms' stage actions, not 24 dense term matrices
+        # the model keeps its whole space's eigendecomposition (1 MiB of
+        # eigenvectors at n = 8) and phase table, not 24 dense term matrices
         tracemalloc.start()
         try:
             h = heisenberg_1d(8)
@@ -66,7 +66,7 @@ class TestExactEvolution:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert h.eigh[1].shape == (256, 256)
+        assert h.whole.eigh[1].shape == (256, 256)
         assert retained < 4 * 2**20
 
 
@@ -289,7 +289,7 @@ class TestBenchmark:
         ]
         assert len(calls) == 9 and max(calls.values()) <= 5
 
-    def test_errors_are_measured_in_sectors_only(self, monkeypatch):
+    def test_errors_are_measured_in_blocks_only(self, monkeypatch):
         # every product and exact evolution is formed on an error block
         # (HamiltonianSum.error_blocks), none on a full 7- or 8-qubit space
         # and none away from popcount floor(n/2): dims 20 (n = 6), 35 (n = 7)

@@ -1,4 +1,4 @@
-import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -68,8 +68,10 @@ pauli_sums = st.integers(1, 6).flatmap(
 @settings(deadline=None, max_examples=150)
 @given(pauli_sums, st.floats(-1.5, 1.5), st.sampled_from([1, 2, 4]))
 def test_stage_product_matches_column_gather_oracle(h, t, order):
+    # the whole space's fused run gates round apart from the single stages
     spec = build_spec(order, h.gamma)
-    assert np.array_equal(evaluate_spec(h, t, spec), gather_stage_product(h, t, spec))
+    got = evaluate_spec(h, t, spec)
+    assert np.abs(got - gather_stage_product(h, t, spec)).max() <= 1e-14
 
 
 def _even_y(letters):
@@ -109,33 +111,35 @@ def test_mirrored_product_matches_oracle_on_real_sums(h, t, order):
 
 # the invariant blocks of the chains (HamiltonianSum.blocks): n = 8 has
 # four, of dim 37, 56, 35 and 35; n = 10 block 1 is the popcount-2 one
-CHAIN_SECTORS = [*heisenberg_1d(8).blocks, heisenberg_1d(10).blocks[1]]
-CHAIN_SECTOR_IDS = [f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"]
+CHAIN_BLOCKS = [*heisenberg_1d(8).blocks, heisenberg_1d(10).blocks[1]]
+# the ids keep the older name "sector" for a block
+CHAIN_BLOCK_IDS = [f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"]
 
 
 def _on_block(block, t, spec):
     """The whole-space stage product restricted to the block."""
     basis = block_basis(block)
-    return basis.T @ stage_product_times(block.model, t, spec, basis)
+    model = HamiltonianSum(block.terms[0].n_qubits, block.terms)
+    return basis.T @ stage_product_times(model, t, spec, basis)
 
 
-@pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
-def test_stage_product_matches_oracle_in_chain_sectors(sector):
+@pytest.mark.parametrize("block", CHAIN_BLOCKS, ids=CHAIN_BLOCK_IDS)
+def test_stage_product_matches_oracle_in_chain_sectors(block):
     # the first half of U2 is not a palindrome, so it is swept whole; its
     # fused bond gates match the single stages to rounding
-    stages = build_spec(2, sector.gamma).stages
+    stages = build_spec(2, block.gamma).stages
     half = ProductFormulaSpec(2, stages[: len(stages) // 2])
-    got = evaluate_spec(sector, 0.37, half)
-    assert np.abs(got - _on_block(sector, 0.37, half)).max() <= 1e-14
+    got = evaluate_spec(block, 0.37, half)
+    assert np.abs(got - _on_block(block, 0.37, half)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("sector", CHAIN_SECTORS, ids=CHAIN_SECTOR_IDS)
+@pytest.mark.parametrize("block", CHAIN_BLOCKS, ids=CHAIN_BLOCK_IDS)
 @pytest.mark.parametrize("order", [2, 4])
-def test_mirrored_product_matches_oracle_in_chain_sectors(sector, order):
-    assert sector.real_symmetric
-    spec = build_spec(order, sector.gamma)
-    got = evaluate_spec(sector, 0.37, spec)
-    assert np.abs(got - _on_block(sector, 0.37, spec)).max() <= 1e-14
+def test_mirrored_product_matches_oracle_in_chain_sectors(block, order):
+    assert block.real_symmetric
+    spec = build_spec(order, block.gamma)
+    got = evaluate_spec(block, 0.37, spec)
+    assert np.abs(got - _on_block(block, 0.37, spec)).max() <= 1e-14
 
 
 def test_half_sweep_applies_one_gate_per_bond():
@@ -173,11 +177,9 @@ def test_fused_commuting_run_matches_the_unfused_product(spec, t, order):
     n, raw = spec
     h = HamiltonianSum(n, tuple(PauliTerm(n, c, sites(*s)) for c, s in raw))
     assert h.runs == (tuple(range(h.gamma)),)
-    # the whole space as one block: every sweep of the run is one gate
-    states = np.arange(h.dim)
-    whole = Block(h, states, states, np.ones(h.dim), 1)
+    # on the whole space every sweep of the run is one gate
     formula = build_spec(order, h.gamma)
-    got = evaluate_spec(whole, t, formula)
+    got = evaluate_spec(h.whole, t, formula)
     assert np.abs(got - gather_stage_product(h, t, formula)).max() <= 1e-14
 
 
@@ -189,18 +191,16 @@ def test_stage_lists_must_weight_each_run_evenly():
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6])
-def test_mirrored_evaluation_applies_half_the_stages(monkeypatch, heis3, order):
-    # one sin call per applied stage
+def test_mirrored_evaluation_applies_half_the_stages(heis3, order):
+    # the whole space caches the gates of the stages it sweeps: the first
+    # half of a palindrome of real symmetric stages, the whole list otherwise
     odd_y = HamiltonianSum(3, heis3.terms + (PauliTerm(3, 0.5, {0: "Y"}),))
     assert heis3.real_symmetric and not odd_y.real_symmetric
-    calls = []
-    sin = math.sin
-    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
     for h, share in ((heis3, 0.5 if order > 1 else 1.0), (odd_y, 1.0)):
         spec = build_spec(order, h.gamma)
-        calls.clear()
         evaluate_spec(h, 0.3, spec)
-        assert len(calls) == len(spec.stages) * share
+        [sweep] = h.whole.gates
+        assert sweep == spec.stages[: int(len(spec.stages) * share)]
 
 
 def test_real_symmetric_is_built_once_per_model(monkeypatch, heis3):
@@ -218,21 +218,20 @@ def test_real_symmetric_is_built_once_per_model(monkeypatch, heis3):
     assert built == []
 
 
-def test_stage_actions_are_built_once_per_model(monkeypatch, heis3):
+def test_phase_table_is_built_once_per_model(monkeypatch, heis3):
+    # the gates, the eigendecomposition and the dense sum all read the
+    # whole space's table
     built = []
-    action = pauli.string_action
-
-    def recorded(x, z, n_qubits):
-        built.append((x, z))
-        return action(x, z, n_qubits)
-
-    monkeypatch.setattr(pauli, "string_action", recorded)
+    table = Block.entries.func
+    counted = cached_property(lambda block: built.append(block) or table(block))
+    counted.__set_name__(Block, "entries")
+    monkeypatch.setattr(Block, "entries", counted)
     spec = build_spec(2, heis3.gamma)
     evaluate_spec(heis3, 0.3, spec)
-    actions = heis3.stage_actions
     evaluate_spec(heis3, -0.2, spec)
-    assert heis3.stage_actions is actions
-    assert len(built) == heis3.gamma
+    exact_evolution(heis3, 0.3)
+    heis3.dense()
+    assert built == [heis3.whole]
 
 
 def test_suzuki_coefficient_values():

@@ -6,7 +6,15 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import BAD_MODEL_FILES, anticommute, block_basis, dense_sum, sites, z_model
+from conftest import (
+    BAD_MODEL_FILES,
+    anticommute,
+    block_basis,
+    dense_sum,
+    gather_stage_product,
+    sites,
+    z_model,
+)
 from mpf_lab import hamiltonians
 from mpf_lab.experiments import exact_evolution
 from mpf_lab.formulas import build_spec, evaluate_spec
@@ -238,7 +246,7 @@ def planted_sums(draw):
 @pytest.fixture
 def full_split(monkeypatch):
     """Keep every block however small: none is packed into a bin."""
-    monkeypatch.setattr(hamiltonians, "MIN_SECTOR_DIM", 1)
+    monkeypatch.setattr(hamiltonians, "MIN_BLOCK_DIM", 1)
 
 
 def _check_blocks(h):
@@ -248,8 +256,6 @@ def _check_blocks(h):
     ones restricted, the block spectra with copies are the full spectrum,
     and the norm of an error is the largest block norm."""
     blocks = h.blocks
-    if blocks[0] is h:
-        return
     bases = [block_basis(b) for b in blocks]
     stacked = np.hstack(bases)
     assert np.allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), atol=1e-12)
@@ -262,7 +268,7 @@ def _check_blocks(h):
             for run in h.runs]
     for order in (1, 2, 4):
         spec = build_spec(order, h.gamma)
-        full = evaluate_spec(h, 1.3, spec)
+        full = gather_stage_product(h, 1.3, spec)
         for b, basis in zip(blocks, bases):
             for op in (*runs, full, exact):
                 leak = op @ basis - basis @ (basis.T @ op @ basis)
@@ -281,13 +287,13 @@ def _check_blocks(h):
 @settings(deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(planted_sums())
-def test_sectors_split_every_error_exactly(full_split, spec):
+def test_blocks_split_every_error_exactly(full_split, spec):
     n, planted, raw = spec
     h = HamiltonianSum(n, tuple(PauliTerm(n, c, sites(*s)) for c, s in raw))
     if any(x == 0 or z == 0 for x, z in planted):
         # a Z-string symmetry separates components; an X-string pairs or
         # splits them
-        assert h.blocks[0] is not h
+        assert h.blocks[0] is not h.whole
     _check_blocks(h)
 
 
@@ -316,7 +322,7 @@ def conserving_sums(draw):
 @given(conserving_sums())
 def test_blocks_of_conserving_sums_match_the_whole_space(full_split, h):
     # the all-zero state is a block of its own
-    assert h.blocks[0] is not h
+    assert h.blocks[0] is not h.whole
     _check_blocks(h)
 
 
@@ -328,13 +334,16 @@ def test_blocks_of_any_sum_match_the_whole_space(full_split, spec):
     _check_blocks(HamiltonianSum(n, tuple(PauliTerm(n, c, letters) for c, letters in raw)))
 
 
-def test_symmetry_free_model_is_one_sector(full_split):
+def test_symmetry_free_model_is_one_block(full_split):
     h = power_law_lattice(4, 1, 2.0)
     strings = [t.masks() for t in h.terms]
     every = [(x, z) for x in range(16) for z in range(16) if (x, z) != (0, 0)]
     # every string but the identity anticommutes with some term
     assert all(any(anticommute(s, t) for t in strings) for s in every)
-    assert h.blocks == (h,) and h.blocks[0] is h
+    # its one block is the whole space, the Block every kernel takes
+    assert h.blocks == (h.whole,) and h.error_blocks == (h.whole,)
+    assert h.whole.dim == h.dim and h.whole.copies == 1
+    _check_blocks(h)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -360,7 +369,7 @@ def test_chain_sectors_from_the_product_strings(full_split, n, periodic):
     (HamiltonianSum(8, tuple(PauliTerm(8, 1.0, {q: "Z"}) for q in range(8))), [32] * 8),
 ], ids=["heis4", "heis6", "heis7", "heis8", "heis9", "commuting8"])
 def test_sectors_stop_at_the_smallest_worthwhile_dim(h, dims):
-    # blocks of equal copies share a bin until it holds MIN_SECTOR_DIM
+    # blocks of equal copies share a bin until it holds MIN_BLOCK_DIM
     # states, and no bin outgrows BIN_DIM: a complex SVD above dim 64 can
     # change its bits with the BLAS thread count. Heisenberg n = 8 is
     # popcount 0, 1 and 2 in one bin, then 3, then popcount 4 split by the
@@ -442,6 +451,6 @@ def test_error_blocks_are_the_blocks_without_spin_symmetry(h):
 ])
 def test_chain_error_blocks(n, dims):
     # popcount floor(n/2) only, split by the parity of X^n for even n and
-    # packed below MIN_SECTOR_DIM
+    # packed below MIN_BLOCK_DIM
     assert [b.dim for b in heisenberg_1d(n).error_blocks] == dims
     assert [b.dim for b in heisenberg_1d(n, periodic=False).error_blocks] == dims
