@@ -105,6 +105,15 @@ def _log_product_terms(letters: list, big_k: int) -> np.ndarray:
     return terms
 
 
+def _term_matrices(h: HamiltonianSum) -> np.ndarray:
+    '''The terms' dense matrices, stacked, scattered from the whole space's
+    phase table (Block.entries) as HamiltonianSum.dense() sums them.'''
+    cols, x = np.arange(h.dim), np.array([t.masks()[0] for t in h.terms])[:, None]
+    mats = np.zeros((h.gamma, h.dim, h.dim), dtype=np.complex128)
+    mats[np.arange(h.gamma)[:, None], cols ^ x, cols] = h.whole.entries
+    return mats
+
+
 def _symmetric_word(h: HamiltonianSum, s: float) -> list:
     '''Letters of the order-2 stage sequence scaled by -i s, one per
     maximal group of consecutive stages on one run (HamiltonianSum.runs):
@@ -112,7 +121,7 @@ def _symmetric_word(h: HamiltonianSum, s: float) -> list:
     group's exponentials are the letter's, and each degree of the
     truncated series is unchanged (binomial theorem). The two middle
     groups are one letter; mirror letters are separate, equal arrays.'''
-    mats = h.term_matrices()
+    mats = _term_matrices(h)
     run_of = {t: i for i, run in enumerate(h.runs) for t in run}
     stages = itertools.groupby(build_spec(2, h.gamma).stages, lambda g_c: run_of[g_c[0]])
     return [sum((-1j * s * c) * mats[g] for g, c in group) for _, group in stages]

@@ -14,12 +14,9 @@ last slices were still raising it.
 Exact alpha values come from one dynamic program over weighted Pauli
 strings (commutators of Pauli strings are again single strings, so norms
 add with no cancellation), run once per table; a dense tuple enumeration
-is kept as the oracle path. Up to n = 10 qubits each DP level is summed
-into a dense array indexed by string key; larger registers sort each
-level's moved keys and fold equal ones. Both add every string's
-contributions in term order onto zero, so alpha values are bit-identical
-whichever path runs. Depths past the work budget are capped at a
-product-of-norms upper bound.
+is kept as the oracle path (the DP's accumulators and its lumping of
+translation orbits: pauli.commutator_weight_table). Depths past the work
+budget are capped at a product-of-norms upper bound.
 Composition sums, largest composition products and the compositions
 attaining them come from one DP pass over (parts, j, last part) instead of
 enumerating compositions.

@@ -7,18 +7,22 @@ commutator of Pauli strings is either zero or 2^(depth-1) times a single
 string. The same masks give the X-strings that commute with a model, a
 GF(2) null space that pairs and splits its invariant blocks
 (HamiltonianSum.blocks).
+
+The commutator-sum DP carries a translation-invariant model's levels as
+one key per orbit, the least rotation, with the orbit's total weight, and
+charges its budget for every string of the orbit (commutator_weight_table).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_I = np.eye(2, dtype=np.complex128)
-
-PAULI_MATRICES = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
 
 # single-qubit letter -> (x bit, z bit)
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -82,11 +86,9 @@ def x_symmetries(strings: list[tuple[int, int]], n_qubits: int) -> list[int]:
 # (x << n) | z must fit one uint64 key
 MAX_QUBITS = 32
 
-# a level is summed into a dense float64 array with one slot per key while
-# keys have at most this many bits (2n, so n <= 10). The array costs 4^n
-# slots whatever the frontier: on a two-string frontier 11 levels took
-# 9 MiB and 31 ms at n = 10 but 36 MiB and 0.14 s at n = 11, where the sort
-# fold takes 0.01 MiB and 6 ms
+# a level can be summed into a dense float64 array with one slot per key
+# only while keys have at most this many bits (2n, so n <= 10): at n = 11
+# the array is 32 MiB whatever the frontier (_dense_level)
 DENSE_KEY_BITS = 20
 
 # the sort fold merges a level's moved parts into one sorted array past this
@@ -97,6 +99,11 @@ _FOLD = 1 << 18
 # a step moves the frontier by as many terms at once as keep the batch's
 # anticommutation table within this many entries
 _BATCH = 1 << 14
+
+# a translation-invariant model's frontier is lumped by orbits once a step
+# makes more than this many moves (Gamma * |frontier|): below it a step's
+# cost is per numpy call, and the rotations cost more than they save
+_LUMP = 1 << 14
 
 # the deepest level is summed by one matrix product over a 2^n x 2^n array
 # of the frontier's weights once the frontier fills at least this share of
@@ -173,6 +180,37 @@ def _reached(acc: np.ndarray) -> tuple:
     return keys, acc[keys]
 
 
+def _rotations(keys, n_qubits: int):
+    """The keys' other n - 1 rotations by i -> i + 1 mod n, in one buffer
+    that each next one overwrites: both halves of (x << n) | z shift up one
+    bit, and each half's top bit wraps to its bottom."""
+    key, wrap = keys.copy(), np.empty_like(keys)
+    for _ in range(n_qubits - 1):
+        np.right_shift(key, n_qubits - 1, out=wrap)
+        wrap &= (1 << n_qubits) | 1
+        key <<= 1
+        key &= (1 << 2 * n_qubits) - 1 - (1 << n_qubits)
+        key |= wrap
+        yield key
+
+
+def _least_rotation(keys, n_qubits: int):
+    """The least of the n rotations of each key: its orbit's canonical key."""
+    least = keys.copy()
+    for rotated in _rotations(keys, n_qubits):
+        np.minimum(least, rotated, out=least)
+    return least
+
+
+def _dense_level(n_qubits: int, moves: int) -> bool:
+    """Whether a level of Gamma * |frontier| moves is summed into the 4^n
+    array, not by the sort fold: while the keys have at most DENSE_KEY_BITS
+    bits and 4^n is at most a batch or 8 slots a move. Clearing and
+    scanning the array costs what sorting 4^n / 16 moved pairs does (n =
+    8-10, 2 vCPU), and about half the moves anticommute."""
+    return 2 * n_qubits <= DENSE_KEY_BITS and 4**n_qubits <= max(8 * moves, _BATCH)
+
+
 def commutator_weight_table(
     strings: list[tuple[int, int]],
     coefficients: list[float],
@@ -192,59 +230,60 @@ def commutator_weight_table(
     on the frontier strings it anticommutes with (odd popcount of
     key & ((z_g << n) | x_g)), a batch of terms per numpy pass while the
     batch times the frontier size is at most _BATCH (_moves), the moved
-    pairs in term-major order. Up to DENSE_KEY_BITS key bits they are
-    added into a 4^n array indexed by key with np.add.at, which adds in
-    index order. Above it the moved keys are sorted and equal ones summed
-    (_fold). Both paths add each key's contributions in term order onto
-    zero, whatever the batch size, and keep the strings whose sum is zero,
-    so they hold equal frontiers.
+    pairs in term-major order. Each level picks its accumulator from its
+    size (_dense_level): the moved weights are added into a 4^n array
+    indexed by key with np.add.at, which adds in index order, or the moved
+    keys are sorted and equal ones summed (_fold). Both add each key's
+    contributions in term order onto zero, whatever the batch size, and
+    keep the strings whose sum is zero, so they hold equal frontiers.
+
+    If the ring shift i -> i + 1 mod n keeps the multiset of the terms'
+    (key, |c|), every level is translation invariant, so once a level's
+    Gamma * |frontier| passes _LUMP it is lumped: one key per orbit, its
+    least rotation (_least_rotation), with the orbit's total weight.
+    Moved keys are made canonical before they are accumulated. The sums
+    are the same in another order: non-integer ones can move in the last
+    bits.
 
     The deepest level is summed, not built (_summed_level): its total is
     sum_t 2|c_t| * sum_k w(k) [k anticommutes with t] over the frontier
-    before it. A frontier filling at least _PRODUCT_FILL of the 4^n
-    strings gives every term's inner sum from one BLAS product of its
-    2^n x 2^n weight array with a 2^n x 2 Gamma 0/1 table; a sparser one
+    before it, lumped or not. A frontier filling at least _PRODUCT_FILL of
+    the 4^n strings gives every term's inner sum from one BLAS product of
+    its 2^n x 2^n weight array with a 2^n x 2 Gamma 0/1 table; a sparser one
     loops over the terms. Every addend is non-negative, so neither way
-    cancels. The gate reads the frontier and n only, so both paths take
-    the same branch on their equal frontiers and still return equal
+    cancels. The gate reads the frontier and n only, so both accumulators
+    take the same branch on their equal frontiers and still return equal
     lists. The total can differ from the sum of the built level in the
     last bits.
 
-    A step costs Gamma * |frontier| work units, the deepest one included
-    (the product's 2 Gamma * 4^n multiply-adds are at most
-    8 Gamma * |frontier| under its gate).
-    The DP stops before the step that would take its total past the
-    budget, so the returned list can be shorter than depth; depth 1 is
-    free.
+    A step costs Gamma * |frontier| work units, a lumped key counting its
+    orbit's size, the deepest one included (the product's 2 Gamma * 4^n
+    multiply-adds are at most 8 Gamma * |frontier| under its gate). The DP
+    stops before the step that would take its total past the budget, at
+    the same depth lumped or not, so the returned list can be shorter than
+    depth; depth 1 is free.
     """
     if n_qubits > MAX_QUBITS:
         raise ValueError(
             f"the Pauli DP packs strings into 64-bit keys: n <= {MAX_QUBITS}, got {n_qubits}"
         )
     gamma = len(strings)
-    dense = 2 * n_qubits <= DENSE_KEY_BITS
-    dtype = np.intp if dense else np.uint64
+    dtype = np.intp if 2 * n_qubits <= DENSE_KEY_BITS else np.uint64
     term_keys = np.array([(x << n_qubits) | z for x, z in strings], dtype=dtype)
     swapped = np.array([(z << n_qubits) | x for x, z in strings], dtype=dtype)
     norms = np.abs(np.asarray(coefficients, dtype=np.float64))
     twice = 2.0 * norms
-    if dense:
-        acc = np.full(1 << 2 * n_qubits, -0.0)
-        np.add.at(acc, term_keys, norms)  # depth 1 can repeat a string
-        keys, weights = _reached(acc)
-    else:
-        keys, weights = _fold([(term_keys, norms)])
-    alphas = [float(weights.sum())]
-    spent = 0
-    while len(alphas) < depth:
-        spent += gamma * keys.size
-        if spent > budget:
-            break
-        if len(alphas) == depth - 1:  # the deepest level: summed, not built
-            alphas.append(_summed_level(keys, weights, swapped, twice, n_qubits))
-            break
-        moves = _moves(keys, weights, term_keys, swapped, twice)
-        if dense:
+    # translation invariant: the ring shift keeps the multiset of the terms'
+    # (key, |c|) exactly
+    shifted = next(_rotations(term_keys, n_qubits), term_keys)
+    invariant = n_qubits > 1 and sorted(zip(shifted.tolist(), norms.tolist())) == sorted(
+        zip(term_keys.tolist(), norms.tolist()))
+    acc, lumped = None, False
+    moves, count = [(term_keys, norms)], gamma
+    alphas, spent = [], 0
+    while True:
+        if _dense_level(n_qubits, count):
+            acc = np.empty(1 << 2 * n_qubits) if acc is None else acc
             acc.fill(-0.0)
             for moved, added in moves:
                 np.add.at(acc, moved, added)
@@ -258,4 +297,22 @@ def commutator_weight_table(
                     parts, pending = [_fold(parts)], 0
             keys, weights = _fold(parts)
         alphas.append(float(weights.sum()))
+        if len(alphas) >= depth:
+            break
+        if lumped:  # a key stands for its orbit: n over the rotations fixing it
+            fixed = 1 + sum(r == keys for r in _rotations(keys, n_qubits))
+            spent += gamma * int((n_qubits // fixed).sum())
+        else:
+            spent += gamma * keys.size
+        if spent > budget:
+            break
+        if invariant and not lumped and gamma * keys.size > _LUMP:
+            lumped = True
+            keys, weights = _fold([(_least_rotation(keys, n_qubits), weights)])
+        if len(alphas) == depth - 1:  # the deepest level: summed, not built
+            alphas.append(_summed_level(keys, weights, swapped, twice, n_qubits))
+            break
+        moves, count = _moves(keys, weights, term_keys, swapped, twice), gamma * keys.size
+        if lumped:
+            moves = ((_least_rotation(moved, n_qubits), added) for moved, added in moves)
     return alphas

@@ -95,6 +95,24 @@ def nested_commutator(ops):
     return acc
 
 
+# a pauli._LUMP that no step passes: the Pauli DP with lumping off
+NO_LUMP = 1 << 62
+
+
+def count_lumps(monkeypatch):
+    """Spy on pauli._least_rotation: the list it appends to on every call,
+    so a lumped DP run leaves it non-empty."""
+    calls = []
+    original = pauli._least_rotation
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pauli, "_least_rotation", spy)
+    return calls
+
+
 def fit_loglog(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 

@@ -12,6 +12,7 @@ from mpf_lab.bch import (
     DepthCapError,
     _log_product_terms,
     _symmetric_word,
+    _term_matrices,
     dyson_expansion,
     effective_generator,
     symmetric_bch_term,
@@ -264,6 +265,16 @@ def test_fused_word_has_one_letter_per_run_group(n, letters, stages):
     assert len(h.runs) == n
     assert len(_per_stage_word(h, 0.05)) == stages
     assert len(_symmetric_word(h, 0.05)) == letters
+
+
+@pytest.mark.parametrize("h", [heisenberg_1d(3), power_law_lattice(4, 1, 2.0, 0)],
+                         ids=["heis3", "power-law4"])
+def test_word_letters_scatter_the_term_matrices_from_the_phase_table(h):
+    # the letters' terms come from the whole space's phase table, equal to
+    # the matrices each PauliTerm builds from its string action
+    scattered = _term_matrices(h)
+    assert len(scattered) == h.gamma
+    assert all(np.array_equal(a, b) for a, b in zip(scattered, h.term_matrices()))
 
 
 def test_two_term_check_trivial_cases():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BAD_MODEL_FILES
+from conftest import BAD_MODEL_FILES, NO_LUMP, count_lumps
 from mpf_lab import bch, cli, mpf, pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table
@@ -109,10 +109,28 @@ class TestCommutators:
     ])
     def test_dense_and_sorted_pauli_dp_print_the_same_bytes(self, run, monkeypatch, argv):
         argv = ("commutators", *argv, "--budget", "1000000000")
-        dense = run(*argv)
-        assert dense[0] == 0
-        monkeypatch.setattr(pauli, "DENSE_KEY_BITS", 0)
-        assert run(*argv) == dense
+        default = run(*argv)
+        assert default[0] == 0
+        for dense in (True, False):  # every level by the one accumulator
+            monkeypatch.setattr(pauli, "_dense_level", lambda n, moves: dense)
+            assert run(*argv) == default
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "32", "--allow-capped"),
+        ("--n", "12", "--budget", "2000000", "--allow-capped"),
+        ("--n", "9", "--j-cap", "12", "--budget", "3000000", "--allow-capped"),
+        ("--n", "16", "--allow-capped"),
+    ])
+    def test_lumped_and_plain_pauli_dp_print_the_same_bytes(self, run, monkeypatch, argv):
+        # the budget charges a lumped key its orbit's size, so capped
+        # tables stop at the same depth with the same envelope
+        lumps = count_lumps(monkeypatch)
+        argv = ("commutators", "--model", "heisenberg", *argv)
+        lumped = run(*argv)
+        assert lumped[0] == 0 and lumps
+        assert json.loads(lumped[1])["table"]["mode"] == "capped"
+        monkeypatch.setattr(pauli, "_LUMP", NO_LUMP)
+        assert run(*argv) == lumped
 
     def test_budget_exit_and_capped_escape(self, run):
         code, _, err = run("commutators", "--model", "heisenberg", "--n", "4", "--budget", "50")

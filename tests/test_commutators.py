@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import nested_commutator
+from conftest import NO_LUMP, count_lumps, nested_commutator
+from mpf_lab import pauli
 from mpf_lab.commutators import (
     CommutatorTable,
     MissingAlphaError,
@@ -103,7 +104,8 @@ def test_capped_alpha_is_an_upper_bound():
 def test_twelve_qubit_register(xz1):
     # X + Z on qubit 11 of a 12-qubit register: two reachable strings out
     # of 4^12, so the default budget reaches any depth; past
-    # pauli.DENSE_KEY_BITS the DP sorts its levels, with no 4^12 array
+    # pauli.DENSE_KEY_BITS (pauli._dense_level) the DP sorts its levels,
+    # with no 4^12 array
     h = HamiltonianSum(12, (PauliTerm(12, 1.0, {11: "X"}), PauliTerm(12, 1.0, {11: "Z"})))
     tracemalloc.start()
     try:
@@ -114,6 +116,21 @@ def test_twelve_qubit_register(xz1):
     assert table.mode == "exact"
     assert [table.alpha[j] for j in range(1, 7)] == [build_table(xz1, 6).alpha[j] for j in range(1, 7)]
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_lumped_and_plain_tables_cap_at_the_same_depth(monkeypatch, n):
+    # the DP charges a lumped key its orbit's size, so the budget stops the
+    # lumped and the plain DP at the same depth, with the same envelope
+    depths, lumps = set(), count_lumps(monkeypatch)
+    for budget in (10**4, 10**5, 3 * 10**5, 10**6, 3 * 10**6):
+        lumped = build_table(heisenberg_1d(n), 14, budget=budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(pauli, "_LUMP", NO_LUMP)
+            plain = build_table(heisenberg_1d(n), 14, budget=budget)
+        assert (lumped.mode, lumped.alpha) == (plain.mode, plain.alpha)
+        depths.add(len(heisenberg_1d(n).commutator_weights(14, budget)))
+    assert lumps and len(depths) >= 4  # lumped, and stopped at several depths
 
 
 _letters = st.dictionaries(st.integers(0, 2), st.sampled_from("XYZ"), max_size=3)

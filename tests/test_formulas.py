@@ -112,8 +112,7 @@ def test_mirrored_product_matches_oracle_on_real_sums(h, t, order):
 # the invariant blocks of the chains (HamiltonianSum.blocks): n = 8 has
 # four, of dim 37, 56, 35 and 35; n = 10 block 1 is the popcount-2 one
 CHAIN_BLOCKS = [*heisenberg_1d(8).blocks, heisenberg_1d(10).blocks[1]]
-# the ids keep the older name "sector" for a block
-CHAIN_BLOCK_IDS = [f"heis8-sector{c}" for c in range(4)] + ["heis10-sector1"]
+CHAIN_BLOCK_IDS = [f"heis8-block{c}" for c in range(4)] + ["heis10-block1"]
 
 
 def _on_block(block, t, spec):
@@ -124,7 +123,7 @@ def _on_block(block, t, spec):
 
 
 @pytest.mark.parametrize("block", CHAIN_BLOCKS, ids=CHAIN_BLOCK_IDS)
-def test_stage_product_matches_oracle_in_chain_sectors(block):
+def test_stage_product_matches_oracle_in_chain_blocks(block):
     # the first half of U2 is not a palindrome, so it is swept whole; its
     # fused bond gates match the single stages to rounding
     stages = build_spec(2, block.gamma).stages
@@ -133,7 +132,9 @@ def test_stage_product_matches_oracle_in_chain_sectors(block):
     assert np.abs(got - _on_block(block, 0.37, half)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("block", CHAIN_BLOCKS, ids=CHAIN_BLOCK_IDS)
+# this test's ids keep the older name "sector" for a block
+@pytest.mark.parametrize("block", CHAIN_BLOCKS,
+                         ids=[i.replace("block", "sector") for i in CHAIN_BLOCK_IDS])
 @pytest.mark.parametrize("order", [2, 4])
 def test_mirrored_product_matches_oracle_in_chain_sectors(block, order):
     assert block.real_symmetric

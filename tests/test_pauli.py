@@ -1,15 +1,17 @@
 """Symplectic Pauli-string algebra against dense 2x2 kron oracles."""
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import anticommute, kron_string
+from conftest import NO_LUMP, anticommute, count_lumps, kron_string, sites
 from mpf_lab import pauli
-from mpf_lab.hamiltonians import heisenberg_1d, power_law_lattice
+from mpf_lab.commutators import alpha_comm
+from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d, power_law_lattice
 from mpf_lab.pauli import (
     PAULI_MATRICES,
     dense_string,
@@ -108,18 +110,18 @@ def test_dense_and_sorted_pauli_dp_are_equal(spec, depth, budget, fold):
     n, terms = spec
     strings = [s for s, _ in terms]
     coefficients = [c for _, c in terms]
+    dense = _table("dense", strings, coefficients, depth, n, budget)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pauli, "DENSE_KEY_BITS", 2 * pauli.MAX_QUBITS)
-        dense = pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
-        mp.setattr(pauli, "DENSE_KEY_BITS", 0)
         mp.setattr(pauli, "_FOLD", fold)
-        folded = pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
+        folded = _table("fold", strings, coefficients, depth, n, budget)
     assert dense == folded
 
 
 def _table(path, strings, coefficients, depth, n, budget):
+    """The table with every level summed by the one accumulator: the 4^n
+    array ("dense") or the sort fold ("fold")."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pauli, "DENSE_KEY_BITS", 2 * pauli.MAX_QUBITS if path == "dense" else 0)
+        mp.setattr(pauli, "_dense_level", lambda n_qubits, moves: path == "dense")
         return pauli.commutator_weight_table(strings, coefficients, depth, n, budget)
 
 
@@ -298,3 +300,106 @@ def test_heisenberg_nine_qubit_table_is_pinned(path):
         27.0, 216.0, 3456.0, 51840.0, 953856.0, 17528832.0, 362299392.0,
         7724630016.0, 178635276288.0, 4298203201536.0, 109491586596864.0,
     ]
+
+
+def _ring_sum(n, cell):
+    """(strings, coefficients) of the cell's terms, each an (offset ->
+    letter, coefficient) pair, repeated on every site of an n-site ring:
+    a translation-invariant sum."""
+    terms = [
+        (masks_from_sites({(site + o) % n: p for o, p in letters.items()}), c)
+        for site in range(n)
+        for letters, c in cell
+    ]
+    return [s for s, _ in terms], [c for _, c in terms]
+
+
+ring_sums = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"),
+                                min_size=1, max_size=3),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+def _lumped_table(lump, path, strings, coefficients, depth, n, budget=10**9):
+    """(table, whether any frontier was lumped) with pauli._LUMP = lump."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pauli, "_LUMP", lump)
+        lumps = count_lumps(mp)
+        return _table(path, strings, coefficients, depth, n, budget), bool(lumps)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ring_sums, st.integers(2, 8), st.sampled_from(["dense", "fold"]),
+       st.sampled_from([0, 100]))
+def test_lumped_pauli_dp_matches_the_plain_dp(spec, depth, path, lump):
+    # a lumped level sums each orbit's weights in another order, so the
+    # tables agree to rounding: the worst of 3,000 random sums was 1.0e-15
+    n, cell = spec
+    strings, coefficients = _ring_sum(n, cell)
+    lumped, moved = _lumped_table(lump, path, strings, coefficients, depth, n)
+    plain, unmoved = _lumped_table(NO_LUMP, path, strings, coefficients, depth, n)
+    assert (moved or lump) and not unmoved  # _LUMP = 0 lumps from depth 2 on
+    assert len(lumped) == len(plain) == depth
+    tiny = np.finfo(np.float64).tiny
+    assert all(abs(a - b) <= 1e-14 * b + tiny for a, b in zip(lumped, plain))
+    if n <= 4:  # the dense tuple enumeration, from the definition
+        h = HamiltonianSum(n, tuple(
+            PauliTerm(n, c, sites(*s)) for s, c in zip(strings, coefficients)))
+        for j in range(1, min(depth, 3) + 1):
+            oracle = alpha_comm(h, j, method="dense").value
+            assert lumped[j - 1] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, alphas", [
+    (10, [30.0, 240.0, 3840.0, 57600.0, 1059840.0, 19476480.0, 402554880.0,
+          8582922240.0, 198817873920.0, 4808198062080.0, 123942689832960.0]),
+    (12, [36.0, 288.0, 4608.0, 69120.0, 1271808.0, 23371776.0, 483065856.0,
+          10299506688.0, 238581448704.0, 5773065191424.0, 149129401466880.0]),
+])
+def test_heisenberg_lumped_tables_are_pinned(n, alphas):
+    # integer values, so the lumped sums are exact: equal to the plain DP's
+    h = heisenberg_1d(n)
+    strings = [t.masks() for t in h.terms]
+    coefficients = [t.coefficient for t in h.terms]
+    path = "dense" if n <= 10 else "fold"
+    assert _lumped_table(pauli._LUMP, path, strings, coefficients, 11, n, 10**12) == (
+        alphas, True)
+
+
+def _one_ulp_off(n):
+    h = heisenberg_1d(n)
+    coefficients = [t.coefficient for t in h.terms]
+    coefficients[5] = math.nextafter(1.0, 2.0)
+    return n, [t.masks() for t in h.terms], coefficients
+
+
+def _model(h):
+    return h.n_qubits, [t.masks() for t in h.terms], [t.coefficient for t in h.terms]
+
+
+@pytest.mark.parametrize("n, strings, coefficients", [
+    _model(heisenberg_1d(6, periodic=False)),
+    _model(heisenberg_1d(9, periodic=False)),
+    _model(power_law_lattice(8, 1, 2.0, 0)),
+    _model(power_law_lattice(9, 2, 1.0, 1)),
+    _one_ulp_off(8),
+], ids=["open6", "open9", "power-law8", "power-law-3x3", "heis8-one-ulp"])
+@pytest.mark.parametrize("path", ["dense", "fold"])
+def test_only_translation_invariant_sums_are_lumped(n, strings, coefficients, path):
+    # _LUMP = 0 lumps from the first step on whenever the test holds; these
+    # sums fail it, so they keep the plain DP and its lists exactly
+    forced, moved = _lumped_table(0, path, strings, coefficients, 6, n)
+    assert not moved
+    assert forced == _lumped_table(NO_LUMP, path, strings, coefficients, 6, n)[0]
+    # the periodic chain passes it
+    assert _lumped_table(0, path, *_model(heisenberg_1d(n))[1:], 3, n)[1]
