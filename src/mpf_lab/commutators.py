@@ -13,9 +13,9 @@ last slices were still raising it.
 
 Exact alpha values come from one dynamic program over weighted Pauli
 strings (commutators of Pauli strings are again single strings, so norms
-add with no cancellation), run once per table; a dense tuple enumeration
-is kept as the oracle path (the DP's accumulators and its lumping of
-translation orbits: pauli.commutator_weight_table). Depths past the work
+add with no cancellation), run once per table (its accumulators and its
+lumping of translation orbits: pauli.commutator_weight_table); the tests
+check it against the dense tuple enumeration. Depths past the work
 budget are capped at a product-of-norms upper bound.
 Composition sums, largest composition products and the compositions
 attaining them come from one DP pass over (parts, j, last part) instead of
@@ -24,13 +24,11 @@ enumerating compositions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from .formulas import error_series
 from .hamiltonians import HamiltonianSum, one_norm
-from .operators import spectral_norm
 
 __all__ = [
     "AlphaEstimate",
@@ -168,21 +166,9 @@ def _variant_name(base: int) -> str:
 # --- alpha ---------------------------------------------------------------
 
 
-def _alpha_dense(mats: list, j: int) -> float:
-    total = 0.0
-    for tup in itertools.product(range(len(mats)), repeat=j):
-        acc = mats[tup[-1]]
-        for g in tup[-2::-1]:
-            m = mats[g]
-            acc = m @ acc - acc @ m
-        total += spectral_norm(acc)
-    return float(total)
-
-
-def _estimates(
-    h: HamiltonianSum, depth: int, budget: int, method: str
-) -> list[AlphaEstimate]:
-    """alpha[1..depth]: exact as deep as the budget reaches, then capped.
+def _estimates(h: HamiltonianSum, depth: int, budget: int) -> tuple:
+    """(alpha[1..depth], mode): exact as deep as the budget reaches, then
+    capped, with mode "capped" if any entry is.
 
     Depth 1 is always exact. Past the last exact depth j0 each entry is
     alpha[j0] * (2 ||H||_1)^(j - j0), an upper bound because
@@ -190,40 +176,23 @@ def _estimates(
     """
     if depth < 1:
         raise ValueError("depth j must be >= 1")
-    if method == "pauli":
-        exact = h.commutator_weights(depth, budget)
-    elif method == "dense":
-        reach = 1
-        while reach < depth and h.gamma ** (reach + 1) <= budget:
-            reach += 1
-        mats = h.term_matrices()
-        exact = [_alpha_dense(mats, j) for j in range(1, reach + 1)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = [AlphaEstimate(j, v, "exact") for j, v in enumerate(exact, start=1)]
+    exact = h.commutator_weights(depth, budget)
     growth = 2.0 * one_norm(h)
-    for j in range(len(exact) + 1, depth + 1):
-        bound = exact[-1] * growth ** (j - len(exact))
-        out.append(AlphaEstimate(j, bound, "capped"))
-    return out
+    capped = [exact[-1] * growth ** k for k in range(1, depth - len(exact) + 1)]
+    return exact + capped, "capped" if capped else "exact"
 
 
-def alpha_comm(
-    h: HamiltonianSum,
-    j: int,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "pauli",
-) -> AlphaEstimate:
-    """Sum of depth-j nested-commutator norms over all Gamma^j tuples.
+def alpha_comm(h: HamiltonianSum, j: int, budget: int = DEFAULT_BUDGET) -> AlphaEstimate:
+    """Sum of depth-j nested-commutator norms over all Gamma^j tuples, from
+    the Pauli string DP (every term is a Pauli string).
 
-    method "pauli" runs the Pauli string DP (every term is a Pauli string);
-    "dense" runs the tuple enumeration it is checked against.
-    `budget` bounds the work: DP work units (Gamma * |frontier| per
-    depth step) on the Pauli path, Gamma^j tuples on the dense path. A depth
-    past the budget is returned flagged "capped", as the upper bound
-    alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth j0.
+    `budget` bounds the DP's work units (Gamma * |frontier| per depth
+    step). A depth past the budget is returned flagged "capped", as the
+    upper bound alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth
+    j0.
     """
-    return _estimates(h, j, budget, method)[-1]
+    values, mode = _estimates(h, j, budget)
+    return AlphaEstimate(j, values[-1], mode)
 
 
 def build_table(
@@ -232,13 +201,12 @@ def build_table(
     """alpha table for depths 1..depth from one Pauli DP run (kept by the
     model, see HamiltonianSum.commutator_weights, and read by alpha_comm
     too); mode "capped" if any entry is the upper bound past the budget."""
-    estimates = _estimates(h, depth, budget, "pauli")
-    mode = "exact" if all(e.mode == "exact" for e in estimates) else "capped"
+    values, mode = _estimates(h, depth, budget)
     return CommutatorTable(
         gamma=h.gamma,
         mode=mode,
         j_cap=depth,
-        alpha={e.j: e.value for e in estimates},
+        alpha=dict(enumerate(values, start=1)),
     )
 
 

@@ -78,10 +78,6 @@ class PauliTerm:
         """The (x, z) masks, computed once at construction."""
         return self._masks
 
-    def dense(self) -> np.ndarray:
-        x, z = self.masks()
-        return self.coefficient * pauli.dense_string(x, z, self.n_qubits)
-
 
 @dataclass(frozen=True)
 class HamiltonianSum:
@@ -258,10 +254,6 @@ class HamiltonianSum:
             blocks.append(Block(self, states, pos, sign, packed[0][4]))
         return tuple(blocks)
 
-    def term_matrices(self) -> list[np.ndarray]:
-        """Dense matrices of the terms, built on every call."""
-        return [t.dense() for t in self.terms]
-
     def dense(self) -> np.ndarray:
         """Dense matrix of the full sum, accumulated in term order from the
         whole space's phase table (Block.entries) without forming any term
@@ -317,7 +309,8 @@ class Block:
         """The phase table, one row per term: H_t |c> = entries[t, j]
         |c ^ x_t> for each state c = states[j], with entries[t, j] =
         c_t i^y_t (-1)^popcount(c & z_t), H_t = c_t P_t and y_t the Y count
-        of P_t (pauli.string_action)."""
+        of P_t. It is the package's only statement of a string's action:
+        the fused gates (generators), dense() and the BCH letters read it."""
         x, z = np.array([t.masks() for t in self.terms]).T
         coefficients = np.array([t.coefficient for t in self.terms])
         phase = coefficients * np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) % 4]

@@ -6,7 +6,9 @@ phase, which is what makes the commutator-sum fast path exact: a nested
 commutator of Pauli strings is either zero or 2^(depth-1) times a single
 string. The same masks give the X-strings that commute with a model, a
 GF(2) null space that pairs and splits its invariant blocks
-(HamiltonianSum.blocks).
+(HamiltonianSum.blocks). No matrix is formed here: a string's action on
+the basis states, i^y (-1)^popcount(b & z) onto b ^ x, is stated once, in
+the phase table hamiltonians.Block.entries.
 
 The commutator-sum DP carries a translation-invariant model's levels as
 one key per orbit, the least rotation, with the orbit's total weight, and
@@ -16,13 +18,6 @@ charges its budget for every string of the orbit (commutator_weight_table).
 from __future__ import annotations
 
 import numpy as np
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 # single-qubit letter -> (x bit, z bit)
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -36,30 +31,6 @@ def masks_from_sites(paulis: dict[int, str]) -> tuple[int, int]:
         x |= bx << site
         z |= bz << site
     return x, z
-
-
-def string_action(x: int, z: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    '''(perm, phases) of the Hermitian Pauli string with masks (x, z):
-    P|b> = phases[b] |perm[b]> with perm[b] = b ^ x and phases[b] =
-    i^y (-1)^(b.z), y the number of Y letters (sites with both bits set).
-
-    So the dense matrix is P[perm, b] = phases, and right multiplication
-    maps the rows of the transpose: (M @ P).T[b] = phases[b] * M.T[b ^ x].
-    Block.entries holds the same phases, times the coefficients, on a
-    block's states.'''
-    cols = np.arange(1 << n_qubits)
-    signs = np.ones(cols.size, dtype=np.complex128)
-    signs[np.bitwise_count(cols & z) & 1 == 1] = -1.0
-    return cols ^ x, (1j ** bin(x & z).count("1")) * signs
-
-
-def dense_string(x: int, z: int, n_qubits: int) -> np.ndarray:
-    '''Dense matrix of X^x Z^z phase-corrected to the Hermitian Pauli
-    string (Y where both bits are set).'''
-    perm, phases = string_action(x, z, n_qubits)
-    out = np.zeros((perm.size, perm.size), dtype=np.complex128)
-    out[perm, np.arange(perm.size)] = phases
-    return out
 
 
 def x_symmetries(strings: list[tuple[int, int]], n_qubits: int) -> list[int]:

@@ -6,7 +6,7 @@ import pytest
 from mpf_lab import pauli
 from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d
 
-_PAULI = {
+PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -18,29 +18,55 @@ def kron_string(n_qubits, paulis):
     # site 0 is the fastest-varying axis
     out = np.array([[1.0 + 0j]])
     for site in range(n_qubits):
-        out = np.kron(_PAULI[paulis.get(site, "I")], out)
+        out = np.kron(PAULI[paulis.get(site, "I")], out)
     return out
+
+
+def string_action(x, z, n_qubits):
+    """(perm, phases) of the Hermitian Pauli string with masks (x, z):
+    P|b> = phases[b] |perm[b]> with perm[b] = b ^ x and phases[b] =
+    i^y (-1)^popcount(b & z), y the number of Y letters (sites with both
+    bits set). Written from the masks, apart from the package's phase
+    table (Block.entries); the dense matrix is P[perm, b] = phases."""
+    cols = np.arange(1 << n_qubits)
+    signs = np.ones(cols.size, dtype=np.complex128)
+    signs[np.bitwise_count(cols & z) & 1 == 1] = -1.0
+    return cols ^ x, (1j ** bin(x & z).count("1")) * signs
+
+
+def term_matrices(h):
+    """Dense matrices of the terms, each its coefficient times kron_string."""
+    return [t.coefficient * kron_string(h.n_qubits, t.paulis) for t in h.terms]
+
+
+def dense_alpha(h, j):
+    """alpha_comm from its definition: the spectral norms of the depth-j
+    nested commutators of the term matrices over all Gamma^j ordered
+    tuples, summed."""
+    mats = np.array(term_matrices(h))
+    nested = mats
+    for _ in range(j - 1):
+        # every term commuted with every nested commutator one level shallower
+        nested = commutator(mats[:, None], nested[None]).reshape(-1, h.dim, h.dim)
+    return np.linalg.svd(nested, compute_uv=False)[:, 0].sum()
 
 
 def dense_sum(h):
     """Rebuild the dense matrix from term data, bypassing the package's cache."""
-    total = np.zeros((2**h.n_qubits, 2**h.n_qubits), dtype=complex)
-    for term in h.terms:
-        total += term.coefficient * kron_string(h.n_qubits, term.paulis)
-    return total
+    return sum(term_matrices(h))
 
 
 def gather_stage_product(h, t, spec):
     """The stage product built as is, stage by stage, with right
     multiplication by each Pauli string as a column gather from
-    pauli.string_action: (out @ P)[:, b] = phases[b] * out[:, perm[b]].
+    string_action: (out @ P)[:, b] = phases[b] * out[:, perm[b]].
     The oracle of formulas.evaluate_spec, bypassing the package's cache."""
     out = np.eye(h.dim, dtype=np.complex128)
     for g, c in spec.stages:
         theta = c * t * h.terms[g].coefficient
         if theta == 0.0:
             continue
-        perm, phases = pauli.string_action(*h.terms[g].masks(), h.n_qubits)
+        perm, phases = string_action(*h.terms[g].masks(), h.n_qubits)
         out = math.cos(theta) * out - (1j * math.sin(theta)) * (out[:, perm] * phases)
     return out
 
@@ -53,7 +79,7 @@ def stage_product_times(h, t, spec, vectors):
     out = np.asarray(vectors, dtype=np.complex128)
     for g, c in reversed(spec.stages):
         theta = c * t * h.terms[g].coefficient
-        perm, phases = pauli.string_action(*h.terms[g].masks(), h.n_qubits)
+        perm, phases = string_action(*h.terms[g].masks(), h.n_qubits)
         moved = np.empty_like(out)
         moved[perm] = phases[:, None] * out
         out = math.cos(theta) * out - (1j * math.sin(theta)) * moved

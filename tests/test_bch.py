@@ -6,13 +6,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import commutator, fit_loglog, rand_anti_hermitian
+from conftest import commutator, fit_loglog, rand_anti_hermitian, term_matrices
 from mpf_lab.bch import (
     ConvergenceRiskError,
     DepthCapError,
     _log_product_terms,
     _symmetric_word,
-    _term_matrices,
     dyson_expansion,
     effective_generator,
     symmetric_bch_term,
@@ -204,7 +203,7 @@ def test_log_unitary_degenerate_heisenberg_spectra(n, distinct, s):
 def _per_stage_word(h, s):
     """The letters of the order-2 stage sequence, one per stage, scaled by
     -i s, mirror stages sharing one array: the oracle of the fused word."""
-    scaled = [(-1j * s * 0.5) * m for m in h.term_matrices()]
+    scaled = [(-1j * s * 0.5) * m for m in term_matrices(h)]
     return [scaled[g] for g, _ in build_spec(2, h.gamma).stages]
 
 
@@ -270,11 +269,16 @@ def test_fused_word_has_one_letter_per_run_group(n, letters, stages):
 @pytest.mark.parametrize("h", [heisenberg_1d(3), power_law_lattice(4, 1, 2.0, 0)],
                          ids=["heis3", "power-law4"])
 def test_word_letters_scatter_the_term_matrices_from_the_phase_table(h):
-    # the letters' terms come from the whole space's phase table, equal to
-    # the matrices each PauliTerm builds from its string action
-    scattered = _term_matrices(h)
-    assert len(scattered) == h.gamma
-    assert all(np.array_equal(a, b) for a, b in zip(scattered, h.term_matrices()))
+    # each letter is its group's scaled terms scattered from the whole
+    # space's phase table in stage order: equal to the same sum of the
+    # kron-built term matrices
+    mats, s = term_matrices(h), 0.05
+    run_of = {t: i for i, run in enumerate(h.runs) for t in run}
+    groups = itertools.groupby(build_spec(2, h.gamma).stages, lambda g_c: run_of[g_c[0]])
+    want = [sum((-1j * s * c) * mats[g] for g, c in group) for _, group in groups]
+    letters = _symmetric_word(h, s)
+    assert len(letters) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(letters, want))
 
 
 def test_two_term_check_trivial_cases():

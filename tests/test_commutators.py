@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NO_LUMP, count_lumps, nested_commutator
+from conftest import NO_LUMP, count_lumps, dense_alpha
 from mpf_lab import pauli
 from mpf_lab.commutators import (
     CommutatorTable,
@@ -33,8 +33,8 @@ def test_alpha_trivial_depths(xz1, commuting3):
     assert alpha_comm(commuting3, 2).value == 0.0
     assert alpha_comm(commuting3, 1).value == pytest.approx(one_norm(commuting3))
     assert alpha_comm(xz1, 1).value == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        alpha_comm(xz1, 1, method="auto")
+    with pytest.raises(ValueError, match="depth j must be >= 1"):
+        alpha_comm(xz1, 0)
 
 
 def test_alpha_xz_pinned_table(xz1):
@@ -43,18 +43,9 @@ def test_alpha_xz_pinned_table(xz1):
     assert [table.alpha[j] for j in range(1, 9)] == pytest.approx(XZ_ALPHA)
 
 
-def _dense_alpha(h, j):
-    # brute-force oracle straight from the definition
-    mats = h.term_matrices()
-    total = 0.0
-    for tup in itertools.product(mats, repeat=j):
-        total += np.linalg.norm(nested_commutator(tup), 2)
-    return total
-
-
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_alpha_matches_definition_oracle(j, xz1):
-    assert alpha_comm(xz1, j).value == pytest.approx(_dense_alpha(xz1, j), abs=1e-9)
+    assert alpha_comm(xz1, j).value == pytest.approx(dense_alpha(xz1, j), abs=1e-9)
 
 
 def _random_two_qubit():
@@ -72,9 +63,7 @@ def _random_two_qubit():
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_pauli_and_dense_paths_agree(j, xz1):
     for h in (xz1, heisenberg_1d(2, periodic=False), _random_two_qubit()):
-        fast = alpha_comm(h, j, method="pauli").value
-        dense = alpha_comm(h, j, method="dense").value
-        assert fast == pytest.approx(dense, abs=1e-9)
+        assert alpha_comm(h, j).value == pytest.approx(dense_alpha(h, j), abs=1e-9)
 
 
 def test_alpha_budget_and_capped_envelope(heis3):
@@ -147,9 +136,7 @@ def test_pauli_dp_matches_dense_oracle(n, specs, j):
     for coefficient, letters in specs:
         terms.append(PauliTerm(n, coefficient, {s % n: p for s, p in letters.items()}))
     h = HamiltonianSum(n, tuple(terms))
-    fast = alpha_comm(h, j, method="pauli").value
-    dense = alpha_comm(h, j, method="dense").value
-    assert fast == pytest.approx(dense, rel=1e-9, abs=1e-12)
+    assert alpha_comm(h, j).value == pytest.approx(dense_alpha(h, j), rel=1e-9, abs=1e-12)
 
 
 def test_table_construction_and_json(heis3):
@@ -278,6 +265,10 @@ def test_lambda_input_validation(xz1):
         lambda_jl(table, 3, 1)
     with pytest.raises(PartitionBlowupError):
         lambda_jl(table, 26, 1)
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        composition_sum(table, 2, 0)
+    with pytest.raises(ValueError, match="j must be >= 1"):
+        composition_sum(table, 0, 1)
 
 
 def test_mu_commuting_is_zero(commuting3):

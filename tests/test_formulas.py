@@ -12,6 +12,7 @@ from conftest import (
     gather_stage_product,
     sites,
     stage_product_times,
+    term_matrices,
 )
 from mpf_lab import pauli
 from mpf_lab.experiments import exact_evolution
@@ -282,14 +283,14 @@ def test_u1_matches_ordered_exponential_product(heis3):
     # pins the factor order: the first term's exponential is leftmost
     t = 0.3
     product = np.eye(8, dtype=complex)
-    for mat in heis3.term_matrices():
+    for mat in term_matrices(heis3):
         product = product @ scipy.linalg.expm(-1j * t * mat)
     assert spectral_norm(U1(heis3, t) - product) <= 1e-12
 
 
 def test_u2_matches_reversed_then_forward_sweep(heis3):
     t = 0.3
-    half = [scipy.linalg.expm(-1j * t * mat / 2) for mat in heis3.term_matrices()]
+    half = [scipy.linalg.expm(-1j * t * mat / 2) for mat in term_matrices(heis3)]
     rev = np.eye(8, dtype=complex)
     for mat in reversed(half):
         rev = rev @ mat

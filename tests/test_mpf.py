@@ -112,6 +112,8 @@ def test_solver_input_validation(heis3):
 def test_power_schedule_natural():
     assert power_schedule(1) == (1,)
     assert power_schedule(3) == (1, 2, 3)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        power_schedule(2, "bogus")
 
 
 def _exhaustive_min_a_norm(m, base_order):

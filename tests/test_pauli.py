@@ -8,40 +8,48 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import NO_LUMP, anticommute, count_lumps, kron_string, sites
-from mpf_lab import pauli
-from mpf_lab.commutators import alpha_comm
-from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d, power_law_lattice
-from mpf_lab.pauli import (
-    PAULI_MATRICES,
-    dense_string,
-    masks_from_sites,
+from conftest import (
+    NO_LUMP,
+    PAULI,
+    anticommute,
+    count_lumps,
+    dense_alpha,
+    kron_string,
+    sites,
     string_action,
-    x_symmetries,
 )
+from mpf_lab import pauli
+from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm, heisenberg_1d, power_law_lattice
+from mpf_lab.pauli import masks_from_sites, x_symmetries
 
 site_maps = st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4)
 
 
 @given(site_maps)
 def test_dense_string_matches_kron(paulis):
-    x, z = masks_from_sites(paulis)
-    assert np.allclose(dense_string(x, z, 4), kron_string(4, paulis), atol=1e-14)
+    # the dense matrix of one string, scattered from the phase table
+    h = HamiltonianSum(4, (PauliTerm(4, 1.0, paulis),))
+    assert np.array_equal(h.dense(), kron_string(4, paulis))
 
 
 def test_string_action_matches_kron_for_every_three_qubit_string():
+    # the package's one statement of a string's action is the phase table
+    # (Block.entries): a one-term sum's dense() is exactly c * kron; the
+    # tests' string_action, which the gather oracles use, is tied to kron too
     cols = np.arange(8)
     rng = np.random.default_rng(0)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     for letters in itertools.product("IXYZ", repeat=3):
         # letters[0] is site 2, the leftmost kron factor
-        explicit = reduce(np.kron, [PAULI_MATRICES[c] for c in letters])
-        x, z = masks_from_sites({2 - i: c for i, c in enumerate(letters) if c != "I"})
-        perm, phases = string_action(x, z, 3)
+        explicit = reduce(np.kron, [PAULI[c] for c in letters])
+        paulis = {2 - i: c for i, c in enumerate(letters) if c != "I"}
+        assert np.array_equal(kron_string(3, paulis), explicit), letters
+        term = PauliTerm(3, -0.7, paulis)
+        assert np.array_equal(HamiltonianSum(3, (term,)).dense(), -0.7 * explicit), letters
+        perm, phases = string_action(*masks_from_sites(paulis), 3)
         p = np.zeros((8, 8), dtype=complex)
         p[perm, cols] = phases
         assert np.array_equal(p, explicit), letters
-        assert np.array_equal(dense_string(x, z, 3), explicit), letters
         assert np.allclose(m[:, perm] * phases, m @ explicit, atol=1e-14), letters
 
 
@@ -356,7 +364,7 @@ def test_lumped_pauli_dp_matches_the_plain_dp(spec, depth, path, lump):
         h = HamiltonianSum(n, tuple(
             PauliTerm(n, c, sites(*s)) for s, c in zip(strings, coefficients)))
         for j in range(1, min(depth, 3) + 1):
-            oracle = alpha_comm(h, j, method="dense").value
+            oracle = dense_alpha(h, j)
             assert lumped[j - 1] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
