@@ -170,7 +170,7 @@ def _build_model(p: dict) -> HamiltonianSum:
     if n < 1:
         raise UsageError("commuting model needs n >= 1")
     terms = [PauliTerm(n, 1.0, {i: "Z"}) for i in range(n)]
-    return HamiltonianSum(n, tuple(terms), tuple((i,) for i in range(n)))
+    return HamiltonianSum(n, tuple(terms))
 
 
 def _dump(body) -> str:

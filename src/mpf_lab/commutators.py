@@ -2,14 +2,15 @@
 
 alpha[j] is the sum over all Gamma^j ordered index tuples of the spectral
 norm of the depth-j nested commutator of the Hamiltonian terms; depth 1 is
-the plain term-norm sum. lambda and mu homogenize composition products of
-alpha values. The variant names the base formula's order (first_order,
-second_order, order_N for even N >= 4); its error series (first, step)
-(formulas.error_series) gives the parts first, first + step, ... and, for
-half-order m, the slices j = m*step, m*step + step, ... that
-composition_scan checks and scans for mu_m and the error bounds. The
-supremum over j is truncated at a cap and the report says whether the
-last slices were still raising it.
+the plain term-norm sum. mu_m is the sup of lambda_{j,l}, the sum over
+compositions of j into l admissible parts of prod alpha[part+1] to the
+power 1/(j+l), with the sums from one pass, composition_scan. The variant
+names the base formula's order (first_order, second_order, order_N for
+even N >= 4); its error series (first, step) (formulas.error_series)
+gives the parts first, first + step, ... and, for half-order m, the
+slices j = m*step, m*step + step, ... that composition_scan checks and
+scans for mu_m and the error bounds. The supremum over j is truncated at
+a cap and the report says whether the last slices were still raising it.
 
 Exact alpha values come from one dynamic program over weighted Pauli
 strings (commutators of Pauli strings are again single strings, so norms
@@ -42,9 +43,7 @@ __all__ = [
     "build_table",
     "check_scan",
     "composition_scan",
-    "composition_sum",
     "convergence_radius",
-    "lambda_jl",
     "mu_m",
 ]
 
@@ -152,23 +151,22 @@ def _variant_base(variant: str) -> int:
         try:
             base = int(variant[6:])
             # int() also reads "4_0", "04" and "+4"; only the canonical name passes
-            if base >= 4 and error_series(base) and variant == _variant_name(base):
+            if base >= 4 and error_series(base) and variant == f"order_{base}":
                 return base
         except ValueError:
             pass
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _variant_name(base: int) -> str:
-    return {1: "first_order", 2: "second_order"}.get(base, f"order_{base}")
-
-
 # --- alpha ---------------------------------------------------------------
 
 
-def _estimates(h: HamiltonianSum, depth: int, budget: int) -> tuple:
-    """(alpha[1..depth], mode): exact as deep as the budget reaches, then
-    capped, with mode "capped" if any entry is.
+def build_table(
+    h: HamiltonianSum, depth: int, budget: int = DEFAULT_BUDGET
+) -> CommutatorTable:
+    """alpha table for depths 1..depth from one Pauli DP run (kept by the
+    model, see HamiltonianSum.commutator_weights): exact as deep as the
+    budget reaches, then capped, with mode "capped" if any entry is.
 
     Depth 1 is always exact. Past the last exact depth j0 each entry is
     alpha[j0] * (2 ||H||_1)^(j - j0), an upper bound because
@@ -179,35 +177,25 @@ def _estimates(h: HamiltonianSum, depth: int, budget: int) -> tuple:
     exact = h.commutator_weights(depth, budget)
     growth = 2.0 * one_norm(h)
     capped = [exact[-1] * growth ** k for k in range(1, depth - len(exact) + 1)]
-    return exact + capped, "capped" if capped else "exact"
+    return CommutatorTable(
+        gamma=h.gamma,
+        mode="capped" if capped else "exact",
+        j_cap=depth,
+        alpha=dict(enumerate(exact + capped, start=1)),
+    )
 
 
 def alpha_comm(h: HamiltonianSum, j: int, budget: int = DEFAULT_BUDGET) -> AlphaEstimate:
-    """Sum of depth-j nested-commutator norms over all Gamma^j tuples, from
-    the Pauli string DP (every term is a Pauli string).
+    """Sum of depth-j nested-commutator norms over all Gamma^j tuples: the
+    deepest entry of build_table(h, j, budget).
 
     `budget` bounds the DP's work units (Gamma * |frontier| per depth
     step). A depth past the budget is returned flagged "capped", as the
     upper bound alpha[j0] * (2 ||H||_1)^(j - j0) from the last exact depth
     j0.
     """
-    values, mode = _estimates(h, j, budget)
-    return AlphaEstimate(j, values[-1], mode)
-
-
-def build_table(
-    h: HamiltonianSum, depth: int, budget: int = DEFAULT_BUDGET
-) -> CommutatorTable:
-    """alpha table for depths 1..depth from one Pauli DP run (kept by the
-    model, see HamiltonianSum.commutator_weights, and read by alpha_comm
-    too); mode "capped" if any entry is the upper bound past the budget."""
-    values, mode = _estimates(h, depth, budget)
-    return CommutatorTable(
-        gamma=h.gamma,
-        mode=mode,
-        j_cap=depth,
-        alpha=dict(enumerate(values, start=1)),
-    )
+    table = build_table(h, j, budget)
+    return AlphaEstimate(j, table.alpha[j], table.mode)
 
 
 # --- lambda and mu -------------------------------------------------------
@@ -280,46 +268,16 @@ def composition_scan(
     table.require(j_cap + 1)
     step = error_series(base)[1]
     return CompositionScan(
-        _variant_name(base), j_cap, range(m * step, j_cap + 1, step),
+        variant, j_cap, range(m * step, j_cap + 1, step),
         *_composition_tables(table, j_cap, m, base),
     )
-
-
-def composition_sum(
-    table: CommutatorTable, j: int, l: int, variant="second_order"
-) -> float:
-    """Sum over admissible compositions of j into exactly l parts of
-    prod alpha[part+1] (the inner sum of lambda and of the error bounds)."""
-    base = _variant_base(variant)
-    _check_jl(j, l, base)
-    table.require(j + 1)
-    return _composition_tables(table, j, l, base)[0][l][j]
-
-
-def _check_jl(j: int, l: int, base: int) -> None:
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j > PARTITION_J_CAP:
-        raise PartitionBlowupError(f"j = {j} beyond supported {PARTITION_J_CAP}")
-    step = error_series(base)[1]
-    if j % step:
-        raise ValueError(f"j must be a multiple of {step} for this variant")
-
-
-def lambda_jl(
-    table: CommutatorTable, j: int, l: int, variant="second_order"
-) -> float:
-    """( sum over admissible compositions of j into l parts of
-    prod alpha[part+1] )^(1/(j+l))."""
-    return composition_sum(table, j, l, variant) ** (1.0 / (j + l))
 
 
 def mu_m(
     table: CommutatorTable, m: int, j_cap: int | None = None, variant="second_order"
 ) -> MuReport:
-    """Truncated sup of lambda_jl over the variant's index set.
+    """Truncated sup of lambda_{j,l} = scan.sums[l][j]^(1/(j+l)) over the
+    variant's index set.
 
     Scans composition_scan's slices j <= j_cap (default 2m+8) and l up
     to m; the supremum runs over an infinite index set, so tail_clear

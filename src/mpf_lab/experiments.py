@@ -237,7 +237,8 @@ def error_bound_evaluate(
     Returns (ErrorBudget, measured). The bound is the coefficient 1-norm
     times the sum over the slices j of commutators.composition_scan (the
     second-order series: even j in [2m, j_cap]) and l in [1, m] of the
-    terms delta^(j+l)/l! * composition_sum(j, l). Each term is computed
+    terms delta^(j+l)/l! * scan.sums[l][j], the sum over admissible
+    compositions of j into l parts of prod alpha[part+1]. Each term is computed
     once; per-j they also split into the correction-term bounds (l < m)
     and the remainder bound (l = m).
     tail_clear certifies the neglected tail is summable: either the last
@@ -252,7 +253,6 @@ def error_bound_evaluate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     m = scheme.half_order
-    # scan.sums[l][j]: the composition_sum(table, j, l) of every cell
     scan = composition_scan(table, m, j_cap)
     radius = convergence_radius(table)
     if delta > radius:

@@ -83,9 +83,6 @@ class PauliTerm:
 class HamiltonianSum:
     """Ordered sum H = sum_gamma H_gamma on an n-qubit space.
 
-    ``grouping`` holds one label tuple per term (site multi-indices); it is
-    part of the model file format.
-
     The sum also owns every piece of per-model data the kernels reuse:
     whether every term is real symmetric, the runs of terms fused into one
     gate, the whole space as a Block (with its phase table, fused gates and
@@ -95,7 +92,6 @@ class HamiltonianSum:
 
     n_qubits: int
     terms: tuple
-    grouping: tuple | None = None
     # budget -> (alpha[1..k], whether the budget stopped the run short)
     _dp_runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -109,13 +105,7 @@ class HamiltonianSum:
                 raise ValueError(
                     f"term on {term.n_qubits} qubits in a {self.n_qubits}-qubit sum"
                 )
-        if self.grouping is not None and len(self.grouping) != len(self.terms):
-            raise ValueError("grouping length must match term count")
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.grouping is not None:
-            object.__setattr__(
-                self, "grouping", tuple(tuple(g) for g in self.grouping)
-            )
 
     @property
     def gamma(self) -> int:
@@ -288,8 +278,9 @@ class HamiltonianSum:
 class Block:
     """A subspace every run of a sum keeps (HamiltonianSum.blocks), with
     basis vector j = sum sign[c] |c> / sqrt(#) over the states c with
-    pos[c] == j (-1 off the block), states[j] one of them. It stands for
-    copies blocks of equal norms wherever the error paths take a sum.
+    pos[c] == j (-1 off the block), states[j] one of them. copies, the
+    number of equal-norm blocks in its orbit, only steers the packing into
+    bins: the error paths take the largest block norm, not a sum.
 
     It keeps the model's terms and runs, not the model: the model caches
     its blocks, and a reference back would make each model a cycle that
@@ -357,13 +348,11 @@ def heisenberg_1d(n: int, periodic: bool = True) -> HamiltonianSum:
         raise TooSmallError("Heisenberg chain needs n >= 2")
     bonds = range(n) if periodic else range(n - 1)
     terms = []
-    labels = []
     for j in bonds:
         a, b = j, (j + 1) % n
         for letter in "XYZ":
             terms.append(PauliTerm(n, 1.0, {a: letter, b: letter}))
-            labels.append((a, b))
-    return HamiltonianSum(n, tuple(terms), tuple(labels))
+    return HamiltonianSum(n, tuple(terms))
 
 
 def power_law_lattice(n: int, d: int, alpha: float, seed: int = 0) -> HamiltonianSum:
@@ -388,10 +377,8 @@ def power_law_lattice(n: int, d: int, alpha: float, seed: int = 0) -> Hamiltonia
     rng = np.random.default_rng(seed)
     letters = "XYZ"
     terms = []
-    labels = []
     for i in range(n):
         terms.append(PauliTerm(n, 1.0, {i: letters[rng.integers(3)]}))
-        labels.append((i,))
     for i in range(n):
         for j in range(i + 1, n):
             dist = float(
@@ -405,8 +392,7 @@ def power_law_lattice(n: int, d: int, alpha: float, seed: int = 0) -> Hamiltonia
                     {i: letters[rng.integers(3)], j: letters[rng.integers(3)]},
                 )
             )
-            labels.append((i, j))
-    return HamiltonianSum(n, tuple(terms), tuple(labels))
+    return HamiltonianSum(n, tuple(terms))
 
 
 def one_norm(h: HamiltonianSum) -> float:
@@ -416,7 +402,7 @@ def one_norm(h: HamiltonianSum) -> float:
 
 def to_model_json(h: HamiltonianSum) -> str:
     """Serialize as the model file's term list; round-trips losslessly."""
-    body: dict = {"model": "custom", "n": h.n_qubits, "terms": [
+    body = {"model": "custom", "n": h.n_qubits, "terms": [
         {
             "n_qubits": t.n_qubits,
             "coefficient": t.coefficient,
@@ -424,8 +410,6 @@ def to_model_json(h: HamiltonianSum) -> str:
         }
         for t in h.terms
     ]}
-    if h.grouping is not None:
-        body["grouping"] = [list(g) for g in h.grouping]
     return json.dumps(body, indent=2, sort_keys=True)
 
 
@@ -456,7 +440,8 @@ def _object(value, keys: tuple, where: str) -> dict:
 
 
 def _site(key: str) -> int:
-    if not (key.isascii() and key.isdigit()):
+    # "00" would alias "0" and drop a letter; only the canonical decimal passes
+    if not (key.isascii() and key.isdigit() and key == str(int(key))):
         raise ValueError(f"paulis site must be a qubit index, got {json.dumps(key)}")
     return int(key)
 
@@ -466,8 +451,9 @@ def from_model_json(text: str) -> HamiltonianSum:
 
     ``model`` is absent or ``"custom"``; ``n`` and every term's ``n_qubits``
     are JSON integers, ``coefficient`` a number, ``paulis`` an object from
-    qubit index to letter, and the optional ``grouping`` one list of
-    integer labels per term. Every field is checked, none is cast.
+    qubit index (canonical decimal) to letter, and the optional
+    ``grouping`` one list of integer labels per term, checked and dropped
+    (no kernel reads it). Every field is checked, none is cast.
 
     Raises:
         ValueError: Naming the first field that is missing, unknown or of
@@ -498,4 +484,7 @@ def from_model_json(text: str) -> HamiltonianSum:
                     "grouping entry must be a list of integers, "
                     f"got {json.dumps(labels)}"
                 )
-    return HamiltonianSum(_field(body, "n", int, "model"), tuple(terms), grouping)
+    h = HamiltonianSum(_field(body, "n", int, "model"), tuple(terms))
+    if grouping is not None and len(grouping) != h.gamma:
+        raise ValueError("grouping length must match term count")
+    return h

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,23 @@ BAD_MODEL_FILES = [
 ]
 
 
+@pytest.fixture
+def bench_model_files(tmp_path, monkeypatch):
+    """(with grouping, without): the model file bench/workloads.write_model
+    writes for the alpha-dense workload, here a power-law chain n = 4, and
+    the same file with its grouping taken out."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    terms, grouping = workloads.power_law_terms(4, 2.0, seed=3)
+    with_grouping, without = tmp_path / "grouping.json", tmp_path / "plain.json"
+    workloads.write_model(str(with_grouping), 4, terms, grouping)
+    body = json.loads(with_grouping.read_text())
+    del body["grouping"]
+    without.write_text(json.dumps(body))
+    return with_grouping, without
+
+
 def rand_anti_hermitian(rng, dim, norm=None):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = (a - a.conj().T) / 2
@@ -175,7 +194,7 @@ def rand_anti_hermitian(rng, dim, norm=None):
 def xz1():
     # the standard two-term non-commuting toy: H = X + Z on one qubit
     terms = (PauliTerm(1, 1.0, {0: "X"}), PauliTerm(1, 1.0, {0: "Z"}))
-    return HamiltonianSum(1, terms, grouping=((0,), (0,)))
+    return HamiltonianSum(1, terms)
 
 
 @pytest.fixture
@@ -190,4 +209,4 @@ def commuting3():
         PauliTerm(3, 0.5, {1: "Z"}),
         PauliTerm(3, 2.0, {2: "Z"}),
     )
-    return HamiltonianSum(3, terms, grouping=((0,), (1,), (2,)))
+    return HamiltonianSum(3, terms)

@@ -18,7 +18,6 @@ from mpf_lab.commutators import (
     CommutatorTable,
     alpha_comm,
     build_table,
-    composition_sum,
     mu_m,
 )
 from mpf_lab.experiments import convergence_study, error_bound_evaluate
@@ -177,7 +176,6 @@ def test_07_commutator_oracle_equivalence(xz1, commuting3):
             PauliTerm(2, -0.4, {0: "Y"}),
             PauliTerm(2, 1.1, {1: "Y"}),
         ),
-        grouping=((0, 1), (0,), (1,)),
     )
     for h in (xz1, commuting3, three_term):
         for j in (1, 2, 3, 4):

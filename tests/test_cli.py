@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BAD_MODEL_FILES, NO_LUMP, count_lumps
+from conftest import BAD_MODEL_FILES, NO_LUMP, count_lumps, z_model
 from mpf_lab import bch, cli, mpf, pauli
 from mpf_lab.cli import main
 from mpf_lab.commutators import build_table
@@ -170,6 +170,31 @@ class TestCommutators:
         assert code == 0
         assert json.loads(out)["table"]["alpha"]["1"] == 2.0
         assert run("commutators", "--model-file", str(tmp_path / "nope.json"))[0] == 2
+
+    def test_model_file_grouping_changes_no_byte(self, run, bench_model_files):
+        with_grouping, without = (
+            run("commutators", "--model-file", str(p)) for p in bench_model_files
+        )
+        assert with_grouping[0] == 0 and with_grouping == without
+
+    @pytest.mark.parametrize("body, message", [
+        (z_model(grouping=7), "grouping must be a list, got 7"),
+        (z_model(grouping=None), "grouping must be a list, got null"),
+        (z_model(grouping=[5]), "grouping entry must be a list of integers, got 5"),
+        (z_model(grouping=[[0.5]]), "grouping entry must be a list of integers, got [0.5]"),
+        (z_model(grouping=[[True]]), "grouping entry must be a list of integers, got [true]"),
+        (z_model(grouping=[]), "grouping length must match term count"),
+        (z_model(grouping=[[0], [1]]), "grouping length must match term count"),
+        # the fields checked before the grouping's length still come first
+        (z_model(n=2.5, grouping=[[0], [1]]), "n must be an integer, got 2.5"),
+        (z_model(terms=[], grouping=[[0]]), "need at least one term"),
+    ])
+    def test_malformed_grouping_exits_2(self, run, tmp_path, body, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(body))
+        assert run("commutators", "--model-file", str(path)) == (
+            2, "", f"error: cannot load model file: {message}\n"
+        )
 
 
 class TestConvergence:
@@ -473,6 +498,11 @@ class TestConfigAndIo:
         (("convergence", "--model", "heisenberg", "--n", "3", "--dt-grid",
           "0.2,1e-6,1e-7,1e-8"), None, "only one grid point above the noise floor"),
         (("benchmark", "--n-list", "3,4,5", "--eps", "abc"), None, "invalid float value"),
+        # a non-canonical index would alias a canonical one and drop its letter
+        (("commutators",), z_model({"paulis": {"0": "X", "00": "Z"}}),
+         'paulis site must be a qubit index, got "00"'),
+        (("commutators",), z_model({"paulis": {"01": "Z"}}),
+         'paulis site must be a qubit index, got "01"'),
     ])
     def test_exits_2_with_empty_stdout(self, capsys, tmp_path, argv, model, message):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -13,9 +13,9 @@ from mpf_lab.commutators import (
     PartitionBlowupError,
     alpha_comm,
     build_table,
-    composition_sum,
+    check_scan,
+    composition_scan,
     convergence_radius,
-    lambda_jl,
     mu_m,
 )
 from mpf_lab.hamiltonians import (
@@ -56,7 +56,6 @@ def _random_two_qubit():
             PauliTerm(2, -0.4, {0: "Y"}),
             PauliTerm(2, 1.1, {1: "Y"}),
         ),
-        grouping=((0, 1), (0,), (1,)),
     )
 
 
@@ -191,7 +190,7 @@ def test_composition_sum_matches_brute_force(values, j, l, variant_base):
     if base != 1 and j % 2:
         j += 1
     table = _table(values)
-    got = composition_sum(table, j, l, variant=variant)
+    got = composition_scan(table, l, j_cap=max(j, 2 * l), variant=variant).sums[l][j]
     assert got == pytest.approx(_brute_composition_sum(table, j, l, base), rel=1e-12, abs=1e-12)
 
 
@@ -241,34 +240,32 @@ def test_mu_upper_and_argmax_partition_match_brute_force(values, m, variant_base
 
 def test_composition_sum_infeasible_is_zero():
     table = _table([1.0] * 9)
-    assert composition_sum(table, 2, 2) == 0.0  # two even parts cannot sum to 2
-    assert composition_sum(table, 4, 1, variant="order_4") == pytest.approx(table.alpha[5])
-    assert composition_sum(table, 2, 1, variant="order_4") == 0.0  # parts start at 4
+    # two even parts cannot sum to 2
+    assert composition_scan(table, 2, j_cap=4).sums[2][2] == 0.0
+    order_4 = composition_scan(table, 1, j_cap=4, variant="order_4")
+    assert order_4.sums[1][4] == pytest.approx(table.alpha[5])
+    assert order_4.sums[1][2] == 0.0  # parts start at 4
 
 
 def test_lambda_identities(xz1, commuting3):
     table = build_table(xz1, 8)
     for j in (2, 4, 6):
-        assert lambda_jl(table, j, 1) == pytest.approx(table.alpha[j + 1] ** (1 / (j + 1)))
+        lam = composition_scan(table, 1, j_cap=j).sums[1][j] ** (1 / (j + 1))
+        assert lam == pytest.approx(table.alpha[j + 1] ** (1 / (j + 1)))
     # even compositions of 4 into 2 parts: only (2, 2)
-    assert lambda_jl(table, 4, 2) == pytest.approx((table.alpha[3] ** 2) ** (1 / 6))
+    lam = composition_scan(table, 2, j_cap=4).sums[2][4] ** (1 / 6)
+    assert lam == pytest.approx((table.alpha[3] ** 2) ** (1 / 6))
 
     ct = build_table(commuting3, 6)
-    assert lambda_jl(ct, 4, 2) == 0.0
+    assert composition_scan(ct, 2, j_cap=4).sums[2][4] ** (1 / 6) == 0.0
 
 
 def test_lambda_input_validation(xz1):
     table = build_table(xz1, 4)
     with pytest.raises(MissingAlphaError):
-        lambda_jl(table, 6, 1)
-    with pytest.raises(ValueError):
-        lambda_jl(table, 3, 1)
+        composition_scan(table, 1, j_cap=6)
     with pytest.raises(PartitionBlowupError):
-        lambda_jl(table, 26, 1)
-    with pytest.raises(ValueError, match="l must be >= 1"):
-        composition_sum(table, 2, 0)
-    with pytest.raises(ValueError, match="j must be >= 1"):
-        composition_sum(table, 0, 1)
+        check_scan(1, 26)
 
 
 def test_mu_commuting_is_zero(commuting3):
@@ -318,7 +315,8 @@ def test_mu_tie_reports_the_cell_with_more_parts():
     # under order_4 a geometric table ties the (4l, l) cells bit for bit;
     # the tie goes to the cell with more commutator factors
     table = _synthetic_local(0.5, 3.0, 13)
-    assert lambda_jl(table, 4, 1, "order_4") == lambda_jl(table, 8, 2, "order_4")
+    scan = composition_scan(table, 2, variant="order_4")
+    assert scan.sums[1][4] ** (1 / 5) == scan.sums[2][8] ** (1 / 10)
     report = mu_m(table, 2, variant="order_4")
     assert report.mu_m == 0.7154845405526278
     assert report.argmax == (8, 2, (4, 4))

@@ -44,7 +44,7 @@ class TestExactEvolution:
     def test_single_qubit_z_quarter_turn(self, xz1):
         from mpf_lab.hamiltonians import HamiltonianSum, PauliTerm
 
-        hz = HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "Z"}),), grouping=((0,),))
+        hz = HamiltonianSum(1, (PauliTerm(1, 1.0, {0: "Z"}),))
         got = exact_evolution(hz, math.pi / 2)
         assert np.allclose(got, np.diag([-1j, 1j]), atol=1e-12)
 
